@@ -13,18 +13,18 @@ serialized values, so multiplicity vectors are stable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from fractions import Fraction
+from math import isqrt, lcm
 
 from .cyclonum import Cyclotomic, from_rational, zeta
 from .permcore import (
     CapExceeded,
     PermGroup,
     class_partition,
-    conjugate,
     identity,
     inverse,
+    is_prime,
     mul,
-    perm_order,
 )
 
 SIZE_CAP = 10**4
@@ -39,6 +39,7 @@ class CharacterTable:
     chars: tuple  # tuple of rows, each a tuple of Cyclotomic
     degrees: tuple  # chars[i][0] as plain integers
     exponent: int
+    power_class: tuple  # power_class[j][t]: class index of x^t, x in class j, 0 <= t < ord x
 
     @property
     def class_count(self):
@@ -78,7 +79,7 @@ def character_table(S: PermGroup) -> CharacterTable:
     sizes = [c.size for c in classes]
     exponent = 1
     for c in classes:
-        exponent = _lcm(exponent, c.element_order)
+        exponent = lcm(exponent, c.element_order)
 
     ell = _dixon_prime(exponent, S.order)
     class_elements = _class_elements(S, lookup, k)
@@ -101,9 +102,13 @@ def character_table(S: PermGroup) -> CharacterTable:
     z_e = pow(g, (ell - 1) // exponent, ell)
     inv_sizes = [pow(s % ell, ell - 2, ell) for s in sizes]
     order_of = [c.element_order for c in classes]
-    power_class = [
-        [lookup[_perm_power(reps[j], t)] for t in range(order_of[j])] for j in range(k)
-    ]
+    power_class = []
+    for r, o in zip(reps, order_of):
+        row, q = [], identity(S.degree)
+        for _ in range(o):
+            row.append(lookup[q])
+            q = mul(q, r)
+        power_class.append(tuple(row))
 
     rows = []
     for v in omegas:
@@ -146,6 +151,7 @@ def character_table(S: PermGroup) -> CharacterTable:
         chars=tuple(tuple(r) for r in rows),
         degrees=tuple(int(r[0].rational_value()) for r in rows),
         exponent=exponent,
+        power_class=tuple(power_class),
     )
     return table
 
@@ -168,13 +174,7 @@ def inner_product(a, b, table: CharacterTable) -> Cyclotomic:
     total = from_rational(0)
     for cls, x, y in zip(table.classes, a, b):
         total = total + cls.size * (x * y.conjugate())
-    return total * _fraction_inverse(table.group.order)
-
-
-def _fraction_inverse(n):
-    from fractions import Fraction
-
-    return Fraction(1, n)
+    return total * Fraction(1, table.group.order)
 
 
 def export_table(table: CharacterTable) -> dict:
@@ -200,12 +200,6 @@ def export_table(table: CharacterTable) -> dict:
 # ------------------------------------------------------------ internals
 
 
-def _lcm(a, b):
-    from math import gcd
-
-    return a * b // gcd(a, b)
-
-
 def _class_elements(S, lookup, k):
     out = [[] for _ in range(k)]
     for x in sorted(lookup):
@@ -213,26 +207,10 @@ def _class_elements(S, lookup, k):
     return out
 
 
-def _perm_power(p, t):
-    q = identity(len(p))
-    for _ in range(t):
-        q = mul(q, p)
-    return q
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    for d in range(2, isqrt(n) + 1):
-        if n % d == 0:
-            return False
-    return True
-
-
 def _dixon_prime(exponent, order):
     bound = 2 * isqrt(order)
     ell = exponent + 1
-    while not (_is_prime(ell) and ell > bound):
+    while not (is_prime(ell) and ell > bound):
         ell += exponent
     return ell
 

@@ -29,6 +29,7 @@ from .fusion import InvalidPartition, fusion_from_partition, fusion_pattern
 from .permcore import (
     CapExceeded,
     group_from_generators,
+    is_prime,
     max_point,
     parse_perm,
     sylow_subgroup,
@@ -277,7 +278,7 @@ def main(argv=None):
         prime = args.prime if args.prime is not None else default_prime
         if prime is None:
             raise InputError("--prime is required for file-based groups")
-        if prime < 2 or any(prime % k == 0 for k in range(2, int(prime**0.5) + 1)):
+        if not is_prime(prime):
             raise InputError(f"{prime} is not prime")
         partition = read_partition_file(args.partition) if args.partition else None
         label_style = cat.CATALOG[name].label_style if kind == "catalog" else None

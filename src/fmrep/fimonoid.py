@@ -426,14 +426,6 @@ def half_factoriality(atoms, lattice: RepLattice):
     return False, _witness_from_relation(relation, atoms)
 
 
-def is_factorial(analysis: MonoidAnalysis):
-    return analysis.factorial, analysis.factorization_witness
-
-
-def is_half_factorial(analysis: MonoidAnalysis):
-    return analysis.half_factorial, analysis.length_witness
-
-
 def is_transitive(pattern: FusionPattern) -> bool:
     return pattern.class_count == 2
 

@@ -13,6 +13,7 @@ character takes one value on every set of classes sharing a label.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .chartab import CharacterTable, character_of
 from .permcore import PermGroup, fuse_by_conjugacy
@@ -50,6 +51,14 @@ def _canonical_labels(raw):
 
 
 def _validate(labels, table: CharacterTable):
+    """Each block keeps one element order and is mapped onto a block by
+    every power map x -> x^t, gcd(t, ord x) = 1 (else the invariant
+    lattice loses rank); the identity class stays alone.
+
+    Units t mod a block's own order cover every unit mod the exponent,
+    and maps closed under inverses that send each block into a block
+    send it onto one.
+    """
     classes = table.classes
     by_label = {}
     for idx, lab in enumerate(labels):
@@ -60,6 +69,14 @@ def _validate(labels, table: CharacterTable):
             raise InvalidPartition(
                 f"classes {sorted(i + 1 for i in idxs)} fused across element orders {sorted(orders)}"
             )
+        o = orders.pop()
+        for t in (t for t in range(2, o) if gcd(t, o) == 1):
+            images = {table.power_class[i][t] for i in idxs}
+            if len({labels[i] for i in images}) > 1:
+                raise InvalidPartition(
+                    f"power map x -> x^{t} sends block {[i + 1 for i in idxs]} "
+                    f"to classes {sorted(i + 1 for i in images)} in different blocks"
+                )
     identity_label = labels[0]
     if sum(1 for lab in labels if lab == identity_label) != 1:
         raise InvalidPartition("identity class fused with a non-identity class")
@@ -86,7 +103,8 @@ def fusion_from_partition(partition, table: CharacterTable) -> FusionPattern:
     """Fusion pattern from an explicit grouping of 1-based S-class indices.
 
     The grouping must cover every class exactly once, keep the identity
-    class alone, and never fuse classes of different element orders.
+    class alone, never fuse classes of different element orders, and be
+    permuted by the power maps x -> x^t with t prime to the element order.
     """
     k = table.class_count
     labels = [0] * k

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, isqrt, lcm
+from operator import itemgetter
 
 Perm = tuple
 
@@ -23,13 +24,22 @@ class CapExceeded(Exception):
     """A configured enumeration cap was hit; the result is undecided."""
 
 
+class CertificateError(RuntimeError):
+    """A computed result failed the explicit check that certifies it."""
+
+
 def identity(degree):
     return tuple(range(degree))
 
 
 def mul(p, q):
     """Product "apply p, then q"."""
-    return tuple(map(q.__getitem__, p))
+    return _left(p)(q)
+
+
+def _left(p):
+    """q -> mul(p, q) in C; itemgetter needs two points to return a tuple."""
+    return itemgetter(*p) if len(p) > 1 else lambda q: tuple(map(q.__getitem__, p))
 
 
 def inverse(p):
@@ -41,10 +51,7 @@ def inverse(p):
 
 def conjugate(x, g):
     """g * x * g^-1 in the left-to-right convention: maps g[i] to g[x[i]]."""
-    out = [0] * len(x)
-    for i, xi in enumerate(x):
-        out[g[i]] = g[xi]
-    return tuple(out)
+    return mul(inverse(g), mul(x, g))
 
 
 def power(p, n):
@@ -78,26 +85,31 @@ def cycle_lengths(p):
 
 
 def perm_order(p):
+    return lcm(*set(cycle_lengths(p)))
+
+
+def _p_order(x, prime, limit, ident, point):
+    """Order of x if x is a prime-element of order at most limit (a power
+    of prime), else 0; the identity has order 1.
+
+    The cycle of `point` comes first: a length that does not divide
+    limit rules x out at once.  Then one run of repeated prime-th powers,
+    each by prime - 1 applications of one itemgetter, decides.
+    """
+    n, j = 1, x[point]
+    while j != point:
+        j, n = x[j], n + 1
+    if limit % n:
+        return 0
     order = 1
-    for n in set(cycle_lengths(p)):
-        order = order * n // _gcd(order, n)
+    while x != ident:
+        if order == limit:
+            return 0
+        f = _left(x)
+        for _ in range(prime - 1):
+            x = f(x)
+        order *= prime
     return order
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def is_p_element(p, prime):
-    """True iff every cycle length is a power of prime (identity included)."""
-    for n in set(cycle_lengths(p)):
-        while n % prime == 0:
-            n //= prime
-        if n != 1:
-            return False
-    return True
 
 
 _CYCLE_RE = re.compile(r"\(\s*([0-9]+(?:\s*[, ]\s*[0-9]+)*)?\s*\)")
@@ -297,8 +309,7 @@ class PermGroup:
             return
         reps = [self._transversals[level][pt] for pt in sorted(self._transversals[level])]
         for h in self._elements_level(level + 1):
-            for u in reps:
-                yield mul(h, u)
+            yield from map(_left(h), reps)
 
     def moved_points(self):
         moved = set()
@@ -356,6 +367,14 @@ def closure(elements, gens, limit=10**6):
 # -- Sylow subgroups ------------------------------------------------------
 
 
+# Most elements sylow_subgroup will stream (about 5x |S9|).
+SYLOW_STREAM_CAP = 2 * 10**6
+
+
+def is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
 def _p_part(n, p):
     e = 1
     while n % p == 0:
@@ -364,38 +383,78 @@ def _p_part(n, p):
     return e
 
 
+def _prefix_descent(G, p):
+    """H = G_{0..i-1}: while the least point i that H moves has an orbit
+    of length prime to p, H becomes its stabilizer (level 1 of a chain
+    with base point i first)."""
+    H = G
+    while H.order > 1:
+        i = H.moved_points()[0]
+        if H.base[0] != i:
+            # a generator that moves i first makes i the first base point
+            H = PermGroup(sorted(H.generators, key=lambda g: g[i] == i), H.degree)
+        if len(H._transversals[0]) % p == 0:
+            break
+        H = PermGroup(H._strong[1] if len(H.base) > 1 else [], H.degree)
+    return H
+
+
 def sylow_subgroup(G, p):
     """A Sylow p-subgroup of G, deterministically chosen.
 
-    Streams the group once to collect its p-elements, then grows a
-    p-subgroup: while P is not yet of full p-power order, the first
-    p-element normalizing P but outside it is adjoined (such an element
-    exists because a proper p-subgroup has a strictly larger normalizer
-    inside any Sylow subgroup containing it).
+    Defined on G's lex order: start from the lex-least p-element of
+    maximal order; while P is not yet Sylow, adjoin the lex-first
+    p-element normalizing P but outside it (one exists: a proper
+    p-subgroup has a larger normalizer in any Sylow subgroup over it).
+
+    Only H = G_{0..i-1} from _prefix_descent is streamed, and the result
+    is the same.  [G:H] is a product of orbit lengths prime to p, so H
+    holds a Sylow subgroup of G.  In lex order every element fixing
+    0..i-1 precedes every element g that does not (at the first such
+    point j that g moves, g[j] > j).  So the lex-least p-element of
+    maximal order lies in H (all Sylow subgroups are conjugate), and so
+    does each lex-first normalizing p-element (P <= H is not Sylow in
+    H).  A point past the first orbit of length divisible by p would
+    break the prefix, and with it this argument.
+
+    Raises CapExceeded when |H| > SYLOW_STREAM_CAP, and CertificateError
+    unless the result has order |G|_p.
     """
-    if p < 2 or any(p % k == 0 for k in range(2, int(p**0.5) + 1)):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     target = _p_part(G.order, p)
     if target == 1:
         return trivial_group(G.degree)
-    ident = identity(G.degree)
-    pelems = [x for x in G.elements() if x != ident and is_p_element(x, p)]
-    pelems.sort()
-    start = max(pelems, key=lambda x: (perm_order(x), [-i for i in x]))
+    H = _prefix_descent(G, p)
+    if H.order > SYLOW_STREAM_CAP:
+        raise CapExceeded(f"sylow: {H.order} elements to stream / cap {SYLOW_STREAM_CAP}")
+    limit = target  # a cycle of length p^e needs p^e <= degree
+    while limit > G.degree:
+        limit //= p
+    ident, point = identity(G.degree), H.base[0]
+    orders = {}
+    for x in H.elements():
+        o = _p_order(x, p, limit, ident, point)
+        if o > 1:
+            orders[x] = o
+    pelems = sorted(orders)
+    start = min(pelems, key=lambda x: -orders[x])
     gens = [start]
     pset = closure({ident, start}, gens)
     while len(pset) < target:
         for x in pelems:
             if x in pset:
                 continue
-            if all(conjugate(s, x) in pset for s in gens):
+            x_inv = _left(inverse(x))
+            if all(x_inv(mul(s, x)) in pset for s in gens):
                 gens.append(x)
                 pset = closure(pset | {x}, gens)
                 break
         else:
-            raise AssertionError("Sylow growth stalled; group data inconsistent")
+            raise CertificateError("Sylow growth stalled; group data inconsistent")
     S = group_from_generators(gens, G.degree)
-    assert S.order == target
+    if S.order != target:
+        raise CertificateError(f"Sylow candidate has order {S.order}, not {target}")
     return S
 
 
@@ -409,6 +468,32 @@ class ConjClass:
     element_order: int
 
 
+def _class_orbits(S, cap):
+    """(ConjClass, orbit) pairs of S by full element enumeration, in the
+    canonical class order."""
+    if S.order > cap:
+        raise CapExceeded(f"group order {S.order} exceeds class enumeration cap {cap}")
+    remaining = set(S.elements())
+    conj = [(_left(inverse(g)), g) for g in S.generators]  # y^g = g_inv(mul(y, g))
+    out = []
+    for x in sorted(remaining):
+        if x not in remaining:
+            continue
+        orbit = {x}
+        queue = [x]
+        for y in queue:
+            y_left = _left(y)
+            for g_inv, g in conj:
+                z = g_inv(y_left(g))
+                if z not in orbit:
+                    orbit.add(z)
+                    queue.append(z)
+        remaining -= orbit
+        out.append((ConjClass(representative=x, size=len(orbit), element_order=perm_order(x)), orbit))
+    out.sort(key=lambda co: (co[0].element_order, co[0].size, co[0].representative))
+    return out
+
+
 def conjugacy_classes(S, cap=10**5):
     """Conjugacy classes of S by full element enumeration.
 
@@ -416,50 +501,14 @@ def conjugacy_classes(S, cap=10**5):
     then lexicographically minimal representative (so the identity class
     is always first).
     """
-    if S.order > cap:
-        raise CapExceeded(f"group order {S.order} exceeds class enumeration cap {cap}")
-    elements = sorted(S.elements())
-    remaining = set(elements)
-    classes = []
-    gens = S.generators
-    for x in elements:
-        if x not in remaining:
-            continue
-        orbit = {x}
-        queue = [x]
-        for y in queue:
-            for g in gens:
-                z = conjugate(y, g)
-                if z not in orbit:
-                    orbit.add(z)
-                    queue.append(z)
-        remaining -= orbit
-        classes.append((orbit, min(orbit)))
-    out = [
-        ConjClass(representative=rep, size=len(orbit), element_order=perm_order(rep))
-        for orbit, rep in classes
-    ]
-    out.sort(key=lambda c: (c.element_order, c.size, c.representative))
-    return out
+    return [c for c, _ in _class_orbits(S, cap)]
 
 
 def class_partition(S, cap=10**5):
     """Same classes as conjugacy_classes, returned as (classes, element->index)."""
-    classes = conjugacy_classes(S, cap)
-    lookup = {}
-    gens = S.generators
-    for idx, c in enumerate(classes):
-        orbit = {c.representative}
-        queue = [c.representative]
-        for y in queue:
-            for g in gens:
-                z = conjugate(y, g)
-                if z not in orbit:
-                    orbit.add(z)
-                    queue.append(z)
-        for y in orbit:
-            lookup[y] = idx
-    return classes, lookup
+    orbits = _class_orbits(S, cap)
+    lookup = {y: idx for idx, (_, orbit) in enumerate(orbits) for y in orbit}
+    return [c for c, _ in orbits], lookup
 
 
 # -- conjugacy testing -----------------------------------------------------
@@ -537,9 +586,11 @@ def conjugation_orbit(x, gens, cap=10**6, targets=None):
     waiting = set(targets) - orbit if targets is not None else None
     if waiting is not None and not waiting:
         return orbit
+    conj = [(_left(inverse(g)), g) for g in gens]  # y^g = g_inv(mul(y, g))
     for y in queue:
-        for g in gens:
-            z = conjugate(y, g)
+        y_left = _left(y)
+        for g_inv, g in conj:
+            z = g_inv(y_left(g))
             if z not in orbit:
                 if len(orbit) >= cap:
                     raise CapExceeded(f"conjugation orbit cap {cap} exceeded")

@@ -8,6 +8,10 @@ shares no code path with the finite-field computation in fmrep.chartab.
 
 The factorization oracle enumerates, by exhaustive search, every way of
 writing a monoid element as a sum of atoms.
+
+The Sylow oracle is the lex-ordered growth of fmrep.permcore run on all
+of G, with p-elements recognized from cycle types: no descent and no
+power-based order test.
 """
 
 import cmath
@@ -16,7 +20,18 @@ import numpy as np
 
 from fmrep.chartab import inner_product
 from fmrep.cyclonum import from_rational, zeta
-from fmrep.permcore import class_partition, identity, inverse, mul
+from fmrep.permcore import (
+    class_partition,
+    closure,
+    conjugate,
+    cycle_lengths,
+    group_from_generators,
+    identity,
+    inverse,
+    mul,
+    perm_order,
+    trivial_group,
+)
 
 
 def numeric_character_table(S, seed=0):
@@ -160,3 +175,37 @@ def monoid_elements_up_to_dimension(atoms, degrees, max_dim):
 
     rec(tuple([0] * len(degrees)), 0, 0)
     return sorted(seen)
+
+
+def is_p_element(p, prime):
+    """True iff every cycle length is a power of prime (identity included)."""
+    for n in set(cycle_lengths(p)):
+        while n % prime == 0:
+            n //= prime
+        if n != 1:
+            return False
+    return True
+
+
+def full_scan_sylow(G, p):
+    """Sylow p-subgroup by lex-ordered growth over every p-element of G."""
+    target = 1
+    while G.order % (target * p) == 0:
+        target *= p
+    if target == 1:
+        return trivial_group(G.degree)
+    ident = identity(G.degree)
+    pelems = sorted(x for x in G.elements() if x != ident and is_p_element(x, p))
+    start = max(pelems, key=lambda x: (perm_order(x), [-i for i in x]))
+    gens = [start]
+    pset = closure({ident, start}, gens)
+    while len(pset) < target:
+        x = next(
+            x for x in pelems
+            if x not in pset and all(conjugate(s, x) in pset for s in gens)
+        )
+        gens.append(x)
+        pset = closure(pset | {x}, gens)
+    S = group_from_generators(gens, G.degree)
+    assert S.order == target
+    return S

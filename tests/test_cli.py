@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -136,6 +137,41 @@ def test_exit_code_bad_partition(tmp_path, capsys):
         capsys, "run", "--group", "E125", "--partition", str(part)
     )
     assert code == EXIT_INPUT
+
+
+def test_exit_code_partition_not_power_stable(tmp_path, capsys):
+    # x -> x^2 maps classes 2, 3 of C5 to classes 3, 5, in different blocks
+    group = tmp_path / "c5.txt"
+    group.write_text("(1,2,3,4,5)\n")
+    part = tmp_path / "partition.json"
+    part.write_text(json.dumps([[1], [2, 3], [4, 5]]))
+    code, _, err = run_cli(
+        capsys, "run", "--group", str(group), "--prime", "5", "--partition", str(part)
+    )
+    assert code == EXIT_INPUT
+    assert "power map x -> x^2" in err and "block [2, 3]" in err
+
+
+def _s11_file(tmp_path):
+    f = tmp_path / "s11.txt"
+    f.write_text("(1,2)\n(1,2,3,4,5,6,7,8,9,10,11)\n")
+    return f
+
+
+def test_exit_code_sylow_stream_cap(tmp_path, capsys):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "run", "--group", str(_s11_file(tmp_path)), "--prime", "2")
+    assert code == EXIT_CAP
+    assert "sylow: 3628800 elements to stream / cap 2000000" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_s11_at_3_descends_below_the_cap(tmp_path, capsys):
+    code, out, _ = run_cli(
+        capsys, "run", "--group", str(_s11_file(tmp_path)), "--prime", "3", "--mode", "fusion"
+    )
+    assert code == EXIT_OK
+    assert "fusion classes   5" in out
 
 
 def test_partition_requires_p_group(tmp_path, capsys):

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +160,20 @@ def test_sylow_prime_not_dividing():
 def test_sylow_nonprime_rejected():
     with pytest.raises(ValueError):
         sylow_subgroup(S(4), 4)
+
+
+def test_sylow_certificates_survive_optimized_mode():
+    """tests/test_sylow.py, certificate tests included, under python -O."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_sylow.py"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert " passed" in proc.stdout and "failed" not in proc.stdout
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,168 @@
+"""Sylow subgroups against the full-scan oracle, and the kernels under them.
+
+The whole module also runs under `python -O` (see
+test_permcore.test_sylow_certificates_survive_optimized_mode), so its
+certificate tests check raises that `-O` cannot strip.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fmrep import permcore
+from fmrep.catalog import CATALOG, load_group
+from fmrep.permcore import (
+    CapExceeded,
+    CertificateError,
+    _p_order,
+    _prefix_descent,
+    conjugate,
+    group_from_generators,
+    identity,
+    inverse,
+    mul,
+    parse_perm,
+    perm_order,
+    sylow_subgroup,
+)
+
+from .groups_zoo import all_groups_up_to_16
+from .oracles import full_scan_sylow, is_p_element
+
+ZOO = all_groups_up_to_16()
+
+
+def S(n):
+    cyc = "(" + ",".join(map(str, range(1, n + 1))) + ")"
+    gens = [parse_perm("(1,2)", n), parse_perm(cyc, n)] if n > 1 else []
+    return group_from_generators(gens, n)
+
+
+def primes_dividing(n):
+    out, p = [], 2
+    while n > 1:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out
+
+
+def assert_same_as_oracle(G, p):
+    assert sylow_subgroup(G, p).generators == full_scan_sylow(G, p).generators
+
+
+# -- same subgroup as the full scan -------------------------------------------
+
+
+def test_s5_at_3_descends_two_levels():
+    G = S(5)
+    H = _prefix_descent(G, 3)
+    assert H.order == 6 and H.moved_points() == [2, 3, 4]
+    assert_same_as_oracle(G, 3)
+
+
+def test_sl3_3_at_2_descends_one_level():
+    G = load_group("SL3_3")
+    assert _prefix_descent(G, 2).order == G.order // 13
+    assert_same_as_oracle(G, 2)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_symmetric_groups_every_prime(n):
+    G = S(n)
+    for p in primes_dividing(G.order):
+        assert_same_as_oracle(G, p)
+
+
+@pytest.mark.parametrize("name,G", ZOO, ids=[n for n, _ in ZOO])
+def test_zoo_every_prime(name, G):
+    for p in primes_dividing(G.order):
+        assert_same_as_oracle(G, p)
+
+
+def test_descent_stops_at_first_orbit_divisible_by_p():
+    # S3 x S2 on {0,1,2} and {3,4}: the orbit of 0 has length 3, so no
+    # descent at p = 3, although the orbit of 3 has length 2.
+    G = group_from_generators([parse_perm(c, 5) for c in ("(1,2)", "(1,2,3)", "(4,5)")], 5)
+    assert _prefix_descent(G, 3) is G
+    assert _prefix_descent(G, 2).order == 4
+    for p in (2, 3):
+        assert_same_as_oracle(G, p)
+
+
+# -- stream cap and certificates -----------------------------------------------
+
+
+def test_stream_cap_names_stage_and_value():
+    with pytest.raises(CapExceeded, match=r"sylow: 3628800 elements to stream / cap 2000000"):
+        sylow_subgroup(S(11), 2)
+
+
+def test_order_certificate_raises(monkeypatch):
+    monkeypatch.setattr(
+        permcore, "group_from_generators", lambda gens, degree: permcore.trivial_group(degree)
+    )
+    with pytest.raises(CertificateError, match="order 1, not 8"):
+        sylow_subgroup(S(4), 2)
+
+
+def test_growth_certificate_raises(monkeypatch):
+    real = permcore._p_part
+    monkeypatch.setattr(permcore, "_p_part", lambda n, p: p * real(n, p))
+    with pytest.raises(CertificateError, match="stalled"):
+        sylow_subgroup(S(4), 2)
+
+
+# -- kernels -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_mul_and_conjugate_small_degrees(degree):
+    perms = [identity(degree)] + ([(1, 0)] if degree == 2 else [])
+    for p in perms:
+        assert mul(p, identity(degree)) == p == mul(identity(degree), p)
+        assert mul(p, inverse(p)) == identity(degree)
+        for g in perms:
+            assert conjugate(p, g) == mul(mul(inverse(g), p), g)
+            assert type(mul(p, g)) is tuple and type(conjugate(p, g)) is tuple
+
+
+def test_mul_matches_definition():
+    rng = random.Random(2)
+    for n in (3, 9, 40):
+        p, q = list(range(n)), list(range(n))
+        rng.shuffle(p)
+        rng.shuffle(q)
+        p, q = tuple(p), tuple(q)
+        assert mul(p, q) == tuple(q[i] for i in p)
+        assert conjugate(p, q) == tuple(
+            q[p[inverse(q)[j]]] for j in range(n)
+        )
+
+
+GROUPS = [(name, G) for name, G in ZOO if G.order > 1] + [
+    (name, load_group(name))
+    for name, entry in CATALOG.items()
+    if entry.tier in ("fast", "table")
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_p_order_matches_cycle_type(data):
+    name, G = data.draw(st.sampled_from(GROUPS), label="group")
+    word = data.draw(st.lists(st.sampled_from(G.generators), max_size=40), label="word")
+    point = data.draw(st.integers(0, G.degree - 1), label="point")
+    x = identity(G.degree)
+    for g in word:
+        x = mul(x, g)
+    for p in primes_dividing(G.order):
+        limit = 1
+        while G.order % (limit * p) == 0 and limit * p <= G.degree:
+            limit *= p
+        expected = perm_order(x) if is_p_element(x, p) else 0
+        assert _p_order(x, p, limit, identity(G.degree), point) == expected
