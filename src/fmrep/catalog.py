@@ -15,6 +15,7 @@ default (their full pipeline is beyond the desk-scale budget).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from typing import Optional
 
@@ -93,6 +94,7 @@ def _read_asset():
     return resources.files("fmrep").joinpath("data/groups.txt").read_text()
 
 
+@cache
 def _parse_asset():
     entries = {}
     current = None

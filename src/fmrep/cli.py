@@ -20,11 +20,7 @@ from pathlib import Path
 
 from . import catalog as cat
 from .chartab import character_table
-from .fimonoid import (
-    BudgetExceeded,
-    DimensionCapExceeded,
-    analyze,
-)
+from .fimonoid import DimensionCapExceeded, analyze
 from .fusion import InvalidPartition, fusion_from_partition, fusion_pattern
 from .permcore import (
     CapExceeded,
@@ -264,7 +260,7 @@ def main(argv=None):
     if args.command == "verify":
         try:
             mismatches = verify_catalog(args.tier)
-        except (CapExceeded, DimensionCapExceeded, BudgetExceeded) as ex:
+        except (CapExceeded, DimensionCapExceeded) as ex:
             print(f"cap exceeded: {ex}", file=sys.stderr)
             return EXIT_CAP
         if mismatches:
@@ -287,10 +283,10 @@ def main(argv=None):
             conjugacy_cap=args.conjugacy_cap, name=name, source=kind,
             label_style=label_style,
         )
-    except (InputError, InvalidPartition, ValueError, KeyError) as ex:
+    except (InputError, InvalidPartition) as ex:
         print(f"input error: {ex}", file=sys.stderr)
         return EXIT_INPUT
-    except (CapExceeded, DimensionCapExceeded, BudgetExceeded) as ex:
+    except (CapExceeded, DimensionCapExceeded) as ex:
         print(f"cap exceeded: {ex}", file=sys.stderr)
         return EXIT_CAP
 

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+
+from .intlin import solve_integer
 
 __all__ = [
     "Cyclotomic",
@@ -88,52 +90,14 @@ def _reduce_mod_phi(coeffs, n):
 
 @lru_cache(maxsize=None)
 def _descent_matrix(n: int, m: int):
-    """Rows: power-basis coordinates over zeta_n of zeta_m^i, i < phi(m)."""
+    """Integer rows: power-basis coordinates over zeta_n of zeta_m^i, i < phi(m)."""
     step = n // m
     rows = []
     for i in range(euler_phi(m)):
-        coeffs = [Fraction(0)] * (step * i + 1)
-        coeffs[step * i] = Fraction(1)
-        rows.append(tuple(_reduce_mod_phi(coeffs, n)))
+        coeffs = [0] * (step * i + 1)
+        coeffs[step * i] = 1
+        rows.append([int(x) for x in _reduce_mod_phi(coeffs, n)])
     return rows
-
-
-def _solve_linear(rows, target):
-    """Solve sum_i x_i * rows[i] = target exactly; None when unsolvable."""
-    k = len(rows)
-    width = len(target)
-    aug = [[Fraction(r) for r in row] + [Fraction(0)] * k for row in rows]
-    for i in range(k):
-        aug[i][width + i] = Fraction(1)
-    pivots = []
-    r = 0
-    for c in range(width):
-        piv = next((i for i in range(r, k) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(k):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == k:
-            break
-    t = [Fraction(x) for x in target]
-    sol = [Fraction(0)] * k
-    for i, c in enumerate(pivots):
-        coef = t[c]
-        if coef:
-            for j in range(width):
-                t[j] -= coef * aug[i][j]
-            for j in range(k):
-                sol[j] += coef * aug[i][width + j]
-    if any(t):
-        return None
-    return sol
 
 
 class Cyclotomic:
@@ -290,20 +254,25 @@ class Cyclotomic:
 
 
 def _canonicalize(n, coeffs):
-    """Minimal-conductor form of a reduced coefficient list."""
+    """Minimal-conductor form of a reduced coefficient list.
+
+    The value lies in Q(zeta_m), m = n/p, iff its coordinates, scaled by
+    the lcm of their denominators, are an integer combination of the
+    descent rows: Z[zeta_m] is the ring of integers of Q(zeta_m), so
+    Q(zeta_m) meets Z[zeta_n] exactly in Z[zeta_m].
+    """
     coeffs = [Fraction(c) for c in coeffs]
-    while True:
-        if n == 1:
-            return n, coeffs
+    while n > 1:
+        scale = lcm(*(c.denominator for c in coeffs))
+        target = [c.numerator * (scale // c.denominator) for c in coeffs]
         for p in _prime_divisors_cached(n):
-            m = n // p
-            rows = _descent_matrix(n, m)
-            sol = _solve_linear(rows, coeffs)
+            sol = solve_integer(_descent_matrix(n, n // p), target)
             if sol is not None:
-                n, coeffs = m, sol
+                n, coeffs = n // p, [Fraction(x, scale) for x in sol]
                 break
         else:
-            return n, coeffs
+            break
+    return n, coeffs
 
 
 @lru_cache(maxsize=None)

@@ -11,28 +11,28 @@ the Hilbert basis) are enumerated by the classical certified pipeline:
     -> lattice points of each simplicial fundamental parallelepiped
     -> global reduction of the candidate set.
 
-A second, independent enumeration walks the sublattice points inside
-the box bounded by the regular representation and keeps minimal
-elements; it is complete only if every atom is a subrepresentation of
-the regular representation, so it serves as a cross-check oracle rather
-than the primary path.
+Every step is integer arithmetic: the simplex cones are inverted
+through their adjugates, so a parallelepiped point is an exact
+quotient by the simplex volume.  The tests check the atoms against an
+independent bounded search (tests/oracles.py).
 
-Everything downstream of the atoms is exact integer arithmetic: a
-monoid is factorial iff the atom count equals the lattice rank, and
-half-factorial iff the coefficient-sum functional vanishes on the
-relation lattice of the atoms; witnesses are split relations.
+Downstream of the atoms, a monoid is factorial iff the atom count
+equals the lattice rank, and half-factorial iff the coefficient-sum
+functional vanishes on the relation lattice of the atoms; witnesses
+are split relations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Optional
 
 from .chartab import CharacterTable
 from .fusion import FusionPattern
 from .intlin import (
+    adjugate,
     hermite_normal_form,
     integer_kernel,
     lattices_equal,
@@ -40,18 +40,14 @@ from .intlin import (
     rank,
     solve_integer,
 )
+from .permcore import CertificateError
 from .repring import RepLattice
 
 RANK_CAP = 12
 IRR_CAP = 32
-DEFAULT_SEARCH_BUDGET = 10**8
 
 
 class DimensionCapExceeded(Exception):
-    pass
-
-
-class BudgetExceeded(Exception):
     pass
 
 
@@ -87,34 +83,9 @@ class MonoidAnalysis:
 # ------------------------------------------------------------ cone tools
 
 
-def _gcd_list(xs):
-    g = 0
-    for x in xs:
-        x = abs(x)
-        while x:
-            g, x = x, g % x
-    return g
-
-
 def _primitive(v):
-    g = _gcd_list(v)
+    g = gcd(*v)
     return tuple(x // g for x in v) if g > 1 else tuple(v)
-
-
-def _mat_inverse(rows):
-    """Exact inverse of a square integer matrix, as Fractions."""
-    n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if aug[i][c])
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
 
 
 def extreme_rays(constraints, d):
@@ -131,17 +102,10 @@ def extreme_rays(constraints, d):
                 break
     assert len(init) == d, "constraints do not span: cone not pointed"
     A = [[constraints[j][i] for j in init] for i in range(d)]  # columns = chosen constraints
-    inv = _mat_inverse(A)
-    det = _int_det(A)
-    rays = []
-    for i in range(d):
-        # row i of adj(A) = det * (A^-1)[i], integral by Cramer
-        row = [inv[i][j] * det for j in range(d)]
-        assert all(x.denominator == 1 for x in row)
-        ray = [int(x) for x in row]
-        if det < 0:
-            ray = [-x for x in ray]
-        rays.append(_primitive(ray))
+    det, adj = adjugate(A)
+    # adj * A = det * I: row i of sign(det) * adj meets constraint i
+    # positively and lies on the other d - 1 facets
+    rays = [_primitive(row if det > 0 else [-x for x in row]) for row in adj]
     processed = list(init)
     for j, c in enumerate(constraints):
         if j in init:
@@ -176,12 +140,6 @@ def extreme_rays(constraints, d):
     for r in rays:
         assert all(_dot(r, c) >= 0 for c in constraints)
     return rays
-
-
-def _int_det(A):
-    from .intlin import det
-
-    return det(A)
 
 
 def _dot(x, y):
@@ -238,19 +196,27 @@ def _parallelepiped_points(gens):
     diag = [H[i][i] for i in range(d)]
     if all(x == 1 for x in diag):
         return []
-    inv = _mat_inverse([list(g) for g in gens])
+    det, adj = adjugate([list(g) for g in gens])
+    vol = abs(det)
+    if det < 0:
+        adj = [[-x for x in row] for row in adj]
     points = []
     counters = [0] * d
     while True:
         z = counters
         if any(z):
-            t = [sum(z[kk] * inv[kk][i] for kk in range(d)) for i in range(d)]
-            t = [x - (x.numerator // x.denominator) for x in t]
-            pt = tuple(
-                sum(t[kk] * gens[kk][i] for kk in range(d)) for i in range(d)
-            )
-            assert all(x.denominator == 1 for x in pt)
-            pt = tuple(int(x) for x in pt)
+            # t = z * gens^-1 = z * adj / vol, adj carrying the sign of det;
+            # t below is vol * frac(t), in [0, vol)^d
+            t = [sum(z[kk] * adj[kk][i] for kk in range(d)) % vol for i in range(d)]
+            pt = []
+            for i in range(d):
+                x, rem = divmod(sum(t[kk] * gens[kk][i] for kk in range(d)), vol)
+                if rem:
+                    raise CertificateError(
+                        f"parallelepiped point {t}/{vol} of {gens} is not integral"
+                    )
+                pt.append(x)
+            pt = tuple(pt)
             if any(pt):
                 points.append(pt)
         i = d - 1
@@ -299,77 +265,6 @@ def _reduce_candidates(xs, lattice, degrees):
         if not any(all(a <= b for a, b in zip(h, v)) for h in atoms):
             atoms.append(v)
     return atoms
-
-
-def atoms_bounded_search(lattice: RepLattice, table: CharacterTable, budget=None):
-    """Atoms among the invariant subrepresentations of the regular
-    representation (multiplicities bounded by the degrees).
-
-    Enumerates box-bounded lattice points in ascending dimension order
-    and keeps those not dominating an earlier survivor.  Complete only
-    when every atom fits under the regular representation.
-    """
-    degrees = table.degrees
-    if budget is None:
-        product = 1
-        for dd in degrees:
-            product *= dd + 1
-            if product > DEFAULT_SEARCH_BUDGET:
-                raise BudgetExceeded(
-                    "regular-representation box beyond default budget; pass an explicit budget"
-                )
-        budget = DEFAULT_SEARCH_BUDGET
-    candidates = _lattice_points_in_box(lattice, degrees, budget)
-    candidates.sort(key=lambda v: (sum(m * d for m, d in zip(v, degrees)), v))
-    found = []
-    for v in candidates:
-        if not any(all(a <= b for a, b in zip(f, v)) for f in found):
-            found.append(v)
-    return found
-
-
-def _lattice_points_in_box(lattice, bounds, budget):
-    """All nonzero lattice vectors v with 0 <= v <= bounds, via the HNF
-    pivot structure of the basis."""
-    B = lattice.basis
-    d, r = lattice.rank, lattice.irr_count
-    pivots = []
-    for row in B:
-        j = next(c for c in range(r) if row[c])
-        pivots.append(j)
-    out = []
-    visited = 0
-
-    def rec(i, partial):
-        nonlocal visited
-        visited += 1
-        if visited > budget:
-            raise BudgetExceeded(f"bounded search budget {budget} exceeded")
-        if i == d:
-            v = tuple(partial)
-            if all(0 <= x <= b for x, b in zip(v, bounds)) and any(v):
-                out.append(v)
-            return
-        j = pivots[i]
-        p = B[i][j]
-        # later rows are zero in column j: 0 <= partial[j] + x_i * p <= bounds[j]
-        lo = _ceil_div(-partial[j], p)
-        hi = (bounds[j] - partial[j]) // p
-        limit = pivots[i + 1] if i + 1 < d else r
-        for xi in range(lo, hi + 1):
-            if xi:
-                new = [a + xi * b for a, b in zip(partial, B[i])]
-            else:
-                new = list(partial)
-            if all(0 <= new[c] <= bounds[c] for c in range(limit)):
-                rec(i + 1, new)
-
-    rec(0, [0] * r)
-    return out
-
-
-def _ceil_div(a, b):
-    return -((-a) // b)
 
 
 # ----------------------------------------------------- verdicts, witnesses

@@ -1,5 +1,7 @@
 """Exact integer linear algebra: row Hermite normal form, integer
-kernels and integer solvability.
+kernels and integer solvability, and fraction-free (Bareiss) rank,
+determinant and adjugate.  Every elimination stays in Z; no rational
+arithmetic is needed.
 
 Matrices are lists of lists of Python ints (arbitrary precision), never
 mutated by these functions.  Lattices are always handed around as
@@ -11,8 +13,6 @@ sit at the bottom.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def hermite_normal_form(A):
@@ -117,11 +117,6 @@ def lattice_contains(basis_rows, v):
     return solve_integer(basis_rows, v) is not None
 
 
-def lattice_coordinates(basis_rows, v):
-    """Integer coordinates of v over basis_rows, or None."""
-    return solve_integer(basis_rows, v)
-
-
 def lattices_equal(rows_a, rows_b):
     """Whether two row sets span the same integer lattice."""
     Ha = nonzero_rows(hermite_normal_form(rows_a)[0]) if rows_a else []
@@ -129,56 +124,75 @@ def lattices_equal(rows_a, rows_b):
     return Ha == Hb
 
 
-def rank(A):
-    """Rank over Q, computed exactly."""
-    if not A:
-        return 0
-    M = [[Fraction(x) for x in row] for row in A]
-    m, n = len(M), len(M[0])
-    r = 0
+def _echelon(A):
+    """Fraction-free (Bareiss) row echelon of A.
+
+    Returns (rank, sign, pivot): the sign of the row permutation used
+    and the last pivot, which is the determinant of the row-permuted
+    leading rank x rank minor on the pivot columns.  Every division is
+    exact by Sylvester's identity (Bareiss, Math. Comp. 22, 1968).
+    """
+    M = [list(row) for row in A]
+    m = len(M)
+    n = len(M[0]) if m else 0
+    r, sign, prev = 0, 1, 1
     for c in range(n):
         piv = next((i for i in range(r, m) if M[i][c]), None)
         if piv is None:
             continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(m):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+        if piv != r:
+            M[r], M[piv] = M[piv], M[r]
+            sign = -sign
+        top = M[r]
+        p = top[c]
+        for i in range(r + 1, m):
+            f = M[i][c]
+            M[i] = [(p * x - f * y) // prev for x, y in zip(M[i], top)]
+        prev = p
         r += 1
         if r == m:
             break
-    return r
+    return r, sign, prev
 
 
-def is_unimodular(U):
-    return abs(_det(U)) == 1
-
-
-def _det(A):
-    """Determinant by fraction-free elimination (Bareiss)."""
-    n = len(A)
-    if n == 0:
-        return 1
-    M = [list(row) for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if M[i][k]), None)
-            if piv is None:
-                return 0
-            M[k], M[piv] = M[piv], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
+def rank(A):
+    """Rank over Q, computed exactly."""
+    return _echelon(A)[0]
 
 
 def det(A):
-    return _det(A)
+    """Determinant of a square integer matrix."""
+    n = len(A)
+    r, sign, pivot = _echelon(A)
+    return sign * pivot if r == n else 0
+
+
+def is_unimodular(U):
+    return abs(det(U)) == 1
+
+
+def adjugate(A):
+    """(d, adj) with d = det A and adj * A = A * adj = d * I.
+
+    Fraction-free Gauss-Jordan on [A | I] ends at [e * I | E] with
+    E * A = e * I, where e = +-d by the parity of the row swaps, so +-E
+    is the adjugate.  A singular A gives d = 0 and the zero matrix.
+    """
+    n = len(A)
+    M = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
+    sign, prev = 1, 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if M[i][c]), None)
+        if piv is None:
+            return 0, [[0] * n for _ in range(n)]
+        if piv != c:
+            M[c], M[piv] = M[piv], M[c]
+            sign = -sign
+        top = M[c]
+        p = top[c]
+        for i in range(n):
+            if i != c:
+                f = M[i][c]
+                M[i] = [(p * x - f * y) // prev for x, y in zip(M[i], top)]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in M]

@@ -70,7 +70,7 @@ class RunReport:
     def _vec_name(self, v):
         text = format_virtual(v)
         if self.irr_names:
-            named = format_labeled(v, self.irr_names)
+            named = format_virtual(v, self.irr_names)
             if named != text:
                 text += f"   [{named}]"
         return text
@@ -105,25 +105,6 @@ class RunReport:
             parts = ", ".join(f"{k} {v:.3f}s" for k, v in self.timings.items())
             lines.append(f"timings          {parts}")
         return "\n".join(lines) + "\n"
-
-
-def format_labeled(v, names):
-    parts = []
-    for j, c in enumerate(v):
-        if not c:
-            continue
-        name = names[j]
-        mono = name if abs(c) == 1 else f"{abs(c)}*{name}"
-        parts.append((c, mono))
-    if not parts:
-        return "0"
-    out = ""
-    for c, mono in parts:
-        if not out:
-            out = ("-" if c < 0 else "") + mono
-        else:
-            out += (" - " if c < 0 else " + ") + mono
-    return out
 
 
 def witness_dict(w):

@@ -123,13 +123,14 @@ def rep_lattice(pattern: FusionPattern, table: CharacterTable) -> RepLattice:
     return lattice
 
 
-def format_virtual(v, prefix="r"):
-    """Signed combination of irreducible labels, e.g. "-r2 - r3 + 2*r6"."""
+def format_virtual(v, names=None):
+    """Signed combination of irreducible labels, e.g. "-r2 - r3 + 2*r6";
+    names[j], when given, replaces the label r(j+1)."""
     parts = []
     for j, c in enumerate(v):
         if not c:
             continue
-        name = f"{prefix}{j + 1}"
+        name = names[j] if names else f"r{j + 1}"
         mono = name if abs(c) == 1 else f"{abs(c)}*{name}"
         parts.append((c, mono))
     if not parts:

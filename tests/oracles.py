@@ -12,14 +12,25 @@ writing a monoid element as a sum of atoms.
 The Sylow oracle is the lex-ordered growth of fmrep.permcore run on all
 of G, with p-elements recognized from cycle types: no descent and no
 power-based order test.
+
+The atoms oracle walks the lattice points inside the box bounded by the
+regular representation and keeps the minimal ones.  It is complete only
+when every atom is a subrepresentation of the regular representation,
+so it cross-checks fmrep.fimonoid's Hilbert basis instead of replacing
+it.
+
+The descent oracle finds the minimal conductor of a cyclotomic number
+by Gauss-Jordan elimination over Fraction, independently of the
+integer solve in fmrep.cyclonum.
 """
 
 import cmath
+from fractions import Fraction
 
 import numpy as np
 
 from fmrep.chartab import inner_product
-from fmrep.cyclonum import from_rational, zeta
+from fmrep.cyclonum import _descent_matrix, _prime_divisors_cached, from_rational, zeta
 from fmrep.permcore import (
     class_partition,
     closure,
@@ -32,6 +43,13 @@ from fmrep.permcore import (
     perm_order,
     trivial_group,
 )
+
+
+DEFAULT_SEARCH_BUDGET = 10**8
+
+
+class BudgetExceeded(Exception):
+    pass
 
 
 def numeric_character_table(S, seed=0):
@@ -209,3 +227,127 @@ def full_scan_sylow(G, p):
     S = group_from_generators(gens, G.degree)
     assert S.order == target
     return S
+
+
+def atoms_bounded_search(lattice, table, budget=None):
+    """Atoms among the invariant subrepresentations of the regular
+    representation (multiplicities bounded by the degrees).
+
+    Enumerates box-bounded lattice points in ascending dimension order
+    and keeps those not dominating an earlier survivor.  Complete only
+    when every atom fits under the regular representation.
+    """
+    degrees = table.degrees
+    if budget is None:
+        product = 1
+        for dd in degrees:
+            product *= dd + 1
+            if product > DEFAULT_SEARCH_BUDGET:
+                raise BudgetExceeded(
+                    "regular-representation box beyond default budget; pass an explicit budget"
+                )
+        budget = DEFAULT_SEARCH_BUDGET
+    candidates = _lattice_points_in_box(lattice, degrees, budget)
+    candidates.sort(key=lambda v: (sum(m * d for m, d in zip(v, degrees)), v))
+    found = []
+    for v in candidates:
+        if not any(all(a <= b for a, b in zip(f, v)) for f in found):
+            found.append(v)
+    return found
+
+
+def _lattice_points_in_box(lattice, bounds, budget):
+    """All nonzero lattice vectors v with 0 <= v <= bounds, via the HNF
+    pivot structure of the basis."""
+    B = lattice.basis
+    d, r = lattice.rank, lattice.irr_count
+    pivots = []
+    for row in B:
+        j = next(c for c in range(r) if row[c])
+        pivots.append(j)
+    out = []
+    visited = 0
+
+    def rec(i, partial):
+        nonlocal visited
+        visited += 1
+        if visited > budget:
+            raise BudgetExceeded(f"bounded search budget {budget} exceeded")
+        if i == d:
+            v = tuple(partial)
+            if all(0 <= x <= b for x, b in zip(v, bounds)) and any(v):
+                out.append(v)
+            return
+        j = pivots[i]
+        p = B[i][j]
+        # later rows are zero in column j: 0 <= partial[j] + x_i * p <= bounds[j]
+        lo = _ceil_div(-partial[j], p)
+        hi = (bounds[j] - partial[j]) // p
+        limit = pivots[i + 1] if i + 1 < d else r
+        for xi in range(lo, hi + 1):
+            if xi:
+                new = [a + xi * b for a, b in zip(partial, B[i])]
+            else:
+                new = list(partial)
+            if all(0 <= new[c] <= bounds[c] for c in range(limit)):
+                rec(i + 1, new)
+
+    rec(0, [0] * r)
+    return out
+
+
+def _ceil_div(a, b):
+    return -((-a) // b)
+
+
+def fraction_descent(n, coeffs):
+    """Minimal-conductor form of a coefficient list over the power basis
+    of Q(zeta_n): repeatedly solve, by Gauss-Jordan over Fraction, for
+    coordinates over zeta_(n/p) for some prime p | n."""
+    coeffs = [Fraction(c) for c in coeffs]
+    while n > 1:
+        for p in _prime_divisors_cached(n):
+            sol = solve_rational(_descent_matrix(n, n // p), coeffs)
+            if sol is not None:
+                n, coeffs = n // p, sol
+                break
+        else:
+            break
+    return n, coeffs
+
+
+def solve_rational(rows, target):
+    """Solve sum_i x_i * rows[i] = target over Q; None when unsolvable."""
+    k = len(rows)
+    width = len(target)
+    aug = [[Fraction(r) for r in row] + [Fraction(int(i == j)) for j in range(k)]
+           for i, row in enumerate(rows)]
+    pivots = []
+    r = 0
+    for c in range(width):
+        piv = next((i for i in range(r, k) if aug[i][c]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(k):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == k:
+            break
+    t = [Fraction(x) for x in target]
+    sol = [Fraction(0)] * k
+    for i, c in enumerate(pivots):
+        coef = t[c]
+        if coef:
+            for j in range(width):
+                t[j] -= coef * aug[i][j]
+            for j in range(k):
+                sol[j] += coef * aug[i][width + j]
+    if any(t):
+        return None
+    return sol

@@ -16,7 +16,6 @@ from fmrep.cyclonum import from_rational
 from fmrep.cli import run_analysis
 from fmrep.fimonoid import (
     analyze,
-    atoms_bounded_search,
     atoms_hilbert,
     check_disjoint_basis,
     check_regular_conjecture,
@@ -25,7 +24,7 @@ from fmrep.fusion import fusion_from_partition, fusion_pattern
 from fmrep.permcore import sylow_subgroup
 from fmrep.repring import rep_lattice
 
-from .oracles import factorization_lengths, monoid_elements_up_to_dimension
+from .oracles import atoms_bounded_search, factorization_lengths, monoid_elements_up_to_dimension
 
 
 def timed_run(name, prime=None):

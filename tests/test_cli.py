@@ -114,6 +114,18 @@ def test_exit_code_unknown_group(capsys):
     assert "input error" in err
 
 
+def test_internal_error_is_not_input_error(monkeypatch, capsys):
+    import fmrep.cli
+
+    def broken(pattern, table):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(fmrep.cli, "rep_lattice", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["run", "--group", "S4", "--prime", "2"])
+    assert "input error" not in capsys.readouterr().err
+
+
 def test_exit_code_bad_prime(capsys):
     code, _, err = run_cli(capsys, "run", "--group", "S4", "--prime", "6")
     assert code == EXIT_INPUT

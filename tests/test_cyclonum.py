@@ -13,6 +13,9 @@ from fmrep.cyclonum import (
     rational_coordinates,
     zeta,
 )
+from fmrep.cyclonum import _reduce_mod_phi
+
+from .oracles import fraction_descent
 
 
 def random_element(rng, n, terms=3, span=4):
@@ -52,6 +55,29 @@ def test_canonical_form_idempotent():
         x = random_element(rng, rng.randrange(1, 25))
         again = Cyclotomic(x.n, list(x.coeffs))
         assert again.n == x.n and again.coeffs == x.coeffs
+
+
+@pytest.mark.parametrize("n", [8, 9, 12, 18, 24, 27, 36])
+def test_canonical_form_matches_fraction_descent(n):
+    """Coefficients with non-integral rationals placed on the powers of
+    zeta_m for a divisor m of n: the canonical form must agree with the
+    Fraction descent and with the same coefficients built over zeta_m."""
+    rng = random.Random(n)
+    divisors = [m for m in range(1, n + 1) if n % m == 0]
+    for _ in range(25):
+        m = rng.choice(divisors)
+        small = [
+            Fraction(rng.randrange(-9, 10), rng.choice((1, 2, 3, 4, 6, 9)))
+            for _ in range(rng.randrange(1, m + 1))
+        ]
+        coeffs = [Fraction(0)] * n
+        for i, c in enumerate(small):
+            coeffs[i * (n // m)] = c
+        x = Cyclotomic(n, coeffs)
+        assert (x.n, list(x.coeffs)) == fraction_descent(n, _reduce_mod_phi(coeffs, n))
+        assert m % x.n == 0
+        y = Cyclotomic(m, small)
+        assert (y.n, y.coeffs) == (x.n, x.coeffs)
 
 
 def test_gauss_period_float_sanity():

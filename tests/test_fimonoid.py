@@ -1,14 +1,15 @@
 import itertools
+import random
 
 import pytest
+
+import fmrep.fimonoid
 
 from fmrep.catalog import CATALOG, traditional_labels
 from fmrep.chartab import character_table
 from fmrep.fimonoid import (
-    BudgetExceeded,
     DimensionCapExceeded,
     analyze,
-    atoms_bounded_search,
     atoms_hilbert,
     check_convex_basis,
     check_disjoint_basis,
@@ -20,12 +21,15 @@ from fmrep.fimonoid import (
     is_transitive,
     check_regular_conjecture,
     NotALatticeBasis,
-    _lattice_points_in_box,
     _parallelepiped_points,
     _triangulate_cone,
 )
 from fmrep.fusion import discrete_pattern, fusion_from_partition
+from fmrep.intlin import det
+from fmrep.permcore import CertificateError
 from fmrep.repring import RepLattice, rep_lattice
+
+from .oracles import BudgetExceeded, _lattice_points_in_box, atoms_bounded_search, solve_rational
 
 
 def _unit(r, *idxs):
@@ -64,6 +68,38 @@ def test_parallelepiped_point_counts():
     assert pts == [(1, 1)]
     pts = _parallelepiped_points([(3, 0), (0, 1)])
     assert sorted(pts) == [(1, 0), (2, 0)]
+
+
+def test_parallelepiped_points_random():
+    rng = random.Random(53)
+    negative = 0
+    for _ in range(80):
+        d = rng.randrange(1, 5)
+        gens = [tuple(rng.randrange(-4, 5) for _ in range(d)) for _ in range(d)]
+        vol = det([list(g) for g in gens])
+        if vol == 0:
+            continue
+        negative += vol < 0
+        pts = _parallelepiped_points(gens)
+        assert len(pts) == len(set(pts)) == abs(vol) - 1
+        for pt in pts:
+            t = solve_rational(gens, pt)
+            assert all(0 <= x < 1 for x in t)
+    assert negative > 10
+
+
+def test_parallelepiped_certificate(monkeypatch):
+    """A wrong simplex volume leaves a nonzero remainder, which is
+    reported even under python -O."""
+    real = fmrep.fimonoid.adjugate
+
+    def doubled(A):
+        d, adj = real(A)
+        return 2 * d, adj
+
+    monkeypatch.setattr(fmrep.fimonoid, "adjugate", doubled)
+    with pytest.raises(CertificateError, match="not integral"):
+        _parallelepiped_points([(2, 1), (0, 1)])
 
 
 def test_hilbert_basis_unimodular_lattice_is_free():

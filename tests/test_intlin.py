@@ -1,6 +1,7 @@
 import random
 
 from fmrep.intlin import (
+    adjugate,
     det,
     hermite_normal_form,
     integer_kernel,
@@ -93,6 +94,7 @@ def test_kernel_properties_random():
         A = random_matrix(rng, m, n)
         K = integer_kernel(A)
         assert len(K) == m - rank(A)
+        assert rank(A) == rank([list(col) for col in zip(*A)])
         for row in K:
             assert all(
                 sum(row[k] * A[k][j] for k in range(m)) == 0 for j in range(n)
@@ -152,3 +154,47 @@ def test_det_matches_elimination():
         for i in range(n):
             prod *= H[i][i] if i < len(H) else 0
         assert abs(det(A)) == abs(prod)
+
+
+def transpose(A):
+    return [list(col) for col in zip(*A)]
+
+
+def identity_times(d, n):
+    return [[d * (i == j) for j in range(n)] for i in range(n)]
+
+
+def test_adjugate_random():
+    rng = random.Random(43)
+    singular = 0
+    for _ in range(200):
+        n = rng.randrange(1, 7)
+        A = random_matrix(rng, n, n, span=rng.choice([1, 3, 9]))
+        if rng.random() < 0.3 and n > 1:
+            # a dependent row: the matrix is singular
+            A[-1] = [x - 2 * y for x, y in zip(A[0], A[n // 2])]
+        d, adj = adjugate(A)
+        assert mat_mul(adj, A) == identity_times(d, n)
+        assert mat_mul(A, adj) == identity_times(d, n)
+        assert abs(d) == abs(det(A))
+        assert (d == 0) == (rank(A) < n)
+        singular += d == 0
+    assert singular > 20
+
+
+def test_adjugate_bigint():
+    rng = random.Random(47)
+    A = [[rng.randrange(-(10**30), 10**30) for _ in range(5)] for _ in range(5)]
+    d, adj = adjugate(A)
+    assert d != 0
+    assert abs(d) == abs(det(A))
+    assert mat_mul(adj, A) == identity_times(d, 5)
+    # the adjugate of the transpose is the transpose of the adjugate
+    assert adjugate(transpose(A)) == (d, transpose(adj))
+
+
+def test_adjugate_small_cases():
+    assert adjugate([]) == (1, [])
+    assert adjugate([[-3]]) == (-3, [[1]])
+    assert adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
+    assert adjugate([[1, 2], [2, 4]])[0] == 0

@@ -122,3 +122,6 @@ def test_format_virtual():
     assert format_virtual((1, 0, -2, 1)) == "r1 - 2*r3 + r4"
     assert format_virtual((0, 0)) == "0"
     assert format_virtual((-1, 1)) == "-r1 + r2"
+    names = ["1", "X", "Y", "XY", "Z"]
+    assert format_virtual((1, 0, -1, 0, 2), names) == "1 - Y + 2*Z"
+    assert format_virtual((0, -3, 0, 1, 0), names) == "-3*X + XY"
