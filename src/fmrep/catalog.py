@@ -132,10 +132,6 @@ def load_group(name: str) -> PermGroup:
     return G
 
 
-def catalog_names():
-    return list(CATALOG)
-
-
 def traditional_labels(style, table):
     """Map canonical irreducible indices to traditional names, when pinned.
 

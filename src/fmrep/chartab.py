@@ -13,10 +13,9 @@ serialized values, so multiplicity vectors are stable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt, lcm
 
-from .cyclonum import Cyclotomic, from_rational, zeta
+from .cyclonum import from_rational, prime_divisors, zeta
 from .permcore import (
     CapExceeded,
     PermGroup,
@@ -156,47 +155,6 @@ def character_table(S: PermGroup) -> CharacterTable:
     return table
 
 
-def character_of(mult, table: CharacterTable):
-    """Character vector of an integer combination of the irreducibles."""
-    if len(mult) != table.irr_count:
-        raise ValueError("multiplicity vector length mismatch")
-    out = [from_rational(0)] * table.class_count
-    for m, row in zip(mult, table.chars):
-        if m:
-            out = [acc + m * v for acc, v in zip(out, row)]
-    return out
-
-
-def inner_product(a, b, table: CharacterTable) -> Cyclotomic:
-    """(1/|S|) * sum over classes of |C| * a(C) * conj(b(C))."""
-    if len(a) != table.class_count or len(b) != table.class_count:
-        raise ValueError("character vector length mismatch")
-    total = from_rational(0)
-    for cls, x, y in zip(table.classes, a, b):
-        total = total + cls.size * (x * y.conjugate())
-    return total * Fraction(1, table.group.order)
-
-
-def export_table(table: CharacterTable) -> dict:
-    """JSON-ready table: class data in cycle notation, values as E(n)^k."""
-    from .permcore import format_perm
-
-    return {
-        "group_order": table.group.order,
-        "exponent": table.exponent,
-        "classes": [
-            {
-                "representative": format_perm(c.representative),
-                "size": c.size,
-                "element_order": c.element_order,
-            }
-            for c in table.classes
-        ],
-        "degrees": list(table.degrees),
-        "characters": [[str(v) for v in row] for row in table.chars],
-    }
-
-
 # ------------------------------------------------------------ internals
 
 
@@ -216,17 +174,7 @@ def _dixon_prime(exponent, order):
 
 
 def _primitive_root(ell):
-    factors = []
-    m = ell - 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            factors.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        factors.append(m)
+    factors = prime_divisors(ell - 1)
     for g in range(2, ell):
         if all(pow(g, (ell - 1) // f, ell) != 1 for f in factors):
             return g

@@ -7,7 +7,7 @@
     fmrep catalog list
 
 Exit codes: 0 ok, 2 invalid input, 3 enumeration cap exceeded,
-4 catalog expectation mismatch.
+4 catalog expectation mismatch, 5 failed certificate (a fault in fmrep).
 """
 
 from __future__ import annotations
@@ -20,10 +20,11 @@ from pathlib import Path
 
 from . import catalog as cat
 from .chartab import character_table
-from .fimonoid import DimensionCapExceeded, analyze
+from .fimonoid import analyze
 from .fusion import InvalidPartition, fusion_from_partition, fusion_pattern
 from .permcore import (
     CapExceeded,
+    CertificateError,
     group_from_generators,
     is_prime,
     max_point,
@@ -37,6 +38,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_MISMATCH = 4
+EXIT_CERTIFICATE = 5
 
 
 class InputError(ValueError):
@@ -260,9 +262,12 @@ def main(argv=None):
     if args.command == "verify":
         try:
             mismatches = verify_catalog(args.tier)
-        except (CapExceeded, DimensionCapExceeded) as ex:
+        except CapExceeded as ex:
             print(f"cap exceeded: {ex}", file=sys.stderr)
             return EXIT_CAP
+        except CertificateError as ex:
+            print(f"certificate failed: {ex}", file=sys.stderr)
+            return EXIT_CERTIFICATE
         if mismatches:
             print(f"{len(mismatches)} expectation mismatch(es)", file=sys.stderr)
             return EXIT_MISMATCH
@@ -286,9 +291,12 @@ def main(argv=None):
     except (InputError, InvalidPartition) as ex:
         print(f"input error: {ex}", file=sys.stderr)
         return EXIT_INPUT
-    except (CapExceeded, DimensionCapExceeded) as ex:
+    except CapExceeded as ex:
         print(f"cap exceeded: {ex}", file=sys.stderr)
         return EXIT_CAP
+    except CertificateError as ex:
+        print(f"certificate failed: {ex}", file=sys.stderr)
+        return EXIT_CERTIFICATE
 
     sys.stdout.write(report.to_text(include_timings=args.timings))
     if args.out:

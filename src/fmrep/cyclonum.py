@@ -27,23 +27,33 @@ __all__ = [
     "rational_coordinates",
     "from_coordinates",
     "euler_phi",
+    "prime_divisors",
     "cyclotomic_polynomial",
 ]
 
 
 @lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    out = n
+def prime_divisors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n, ascending, by trial division."""
+    out = []
     m = n
     p = 2
     while p * p <= m:
         if m % p == 0:
-            out -= out // p
+            out.append(p)
             while m % p == 0:
                 m //= p
         p += 1
     if m > 1:
-        out -= out // m
+        out.append(m)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def euler_phi(n: int) -> int:
+    out = n
+    for p in prime_divisors(n):
+        out = out // p * (p - 1)
     return out
 
 
@@ -131,16 +141,10 @@ class Cyclotomic:
     def is_zero(self):
         return not any(self.coeffs)
 
-    def is_rational(self):
-        return self.n == 1
-
     def rational_value(self):
         if self.n != 1:
             raise ValueError(f"{self} is not rational")
         return self.coeffs[0]
-
-    def is_integer(self):
-        return self.n == 1 and self.coeffs[0].denominator == 1
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -265,7 +269,7 @@ def _canonicalize(n, coeffs):
     while n > 1:
         scale = lcm(*(c.denominator for c in coeffs))
         target = [c.numerator * (scale // c.denominator) for c in coeffs]
-        for p in _prime_divisors_cached(n):
+        for p in prime_divisors(n):
             sol = solve_integer(_descent_matrix(n, n // p), target)
             if sol is not None:
                 n, coeffs = n // p, [Fraction(x, scale) for x in sol]
@@ -273,22 +277,6 @@ def _canonicalize(n, coeffs):
         else:
             break
     return n, coeffs
-
-
-@lru_cache(maxsize=None)
-def _prime_divisors_cached(n):
-    out = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out.append(m)
-    return tuple(out)
 
 
 def zeta(n, k=1):

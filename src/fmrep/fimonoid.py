@@ -40,15 +40,11 @@ from .intlin import (
     rank,
     solve_integer,
 )
-from .permcore import CertificateError
+from .permcore import CapExceeded, CertificateError
 from .repring import RepLattice
 
 RANK_CAP = 12
 IRR_CAP = 32
-
-
-class DimensionCapExceeded(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -237,7 +233,7 @@ def atoms_hilbert(lattice: RepLattice, degrees):
     """
     d, r = lattice.rank, lattice.irr_count
     if d > RANK_CAP or r > IRR_CAP:
-        raise DimensionCapExceeded(f"rank {d} x irreducibles {r} beyond caps ({RANK_CAP}, {IRR_CAP})")
+        raise CapExceeded(f"rank {d} x irreducibles {r} beyond caps ({RANK_CAP}, {IRR_CAP})")
     B = [list(row) for row in lattice.basis]
     assert rank(B) == d, "lattice basis is not full rank; cone not pointed"
     constraints = [tuple(B[i][j] for i in range(d)) for j in range(r)]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .chartab import CharacterTable, character_of
+from .chartab import CharacterTable
 from .permcore import PermGroup, fuse_by_conjugacy
 
 
@@ -127,18 +127,3 @@ def discrete_pattern(table: CharacterTable) -> FusionPattern:
     """Every class its own label (the fusion of S in itself)."""
     labels = tuple(range(1, table.class_count + 1))
     return FusionPattern(labels=labels, class_count=table.class_count)
-
-
-def is_invariant(mult, pattern: FusionPattern, table: CharacterTable) -> bool:
-    """Character constancy across fused classes, with early exit."""
-    if len(mult) != table.irr_count:
-        raise ValueError("multiplicity vector length mismatch")
-    values = character_of(mult, table)
-    first_of = {}
-    for idx, lab in enumerate(pattern.labels):
-        if lab in first_of:
-            if values[idx] != values[first_of[lab]]:
-                return False
-        else:
-            first_of[lab] = idx
-    return True

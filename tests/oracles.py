@@ -19,6 +19,11 @@ when every atom is a subrepresentation of the regular representation,
 so it cross-checks fmrep.fimonoid's Hilbert basis instead of replacing
 it.
 
+The character oracles evaluate an integer combination of irreducibles
+class by class as a cyclotomic sum: invariance is then constancy on
+fused classes, checked value by value, independently of the integer
+linearization in fmrep.repring.
+
 The descent oracle finds the minimal conductor of a cyclotomic number
 by Gauss-Jordan elimination over Fraction, independently of the
 integer solve in fmrep.cyclonum.
@@ -29,8 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from fmrep.chartab import inner_product
-from fmrep.cyclonum import _descent_matrix, _prime_divisors_cached, from_rational, zeta
+from fmrep.cyclonum import _descent_matrix, from_rational, prime_divisors, zeta
 from fmrep.permcore import (
     class_partition,
     closure,
@@ -129,6 +133,40 @@ def _power(p, t):
     for _ in range(t):
         q = mul(q, p)
     return q
+
+
+def character_of(mult, table):
+    """Character vector of an integer combination of the irreducibles."""
+    if len(mult) != table.irr_count:
+        raise ValueError("multiplicity vector length mismatch")
+    out = [from_rational(0)] * table.class_count
+    for m, row in zip(mult, table.chars):
+        if m:
+            out = [acc + m * v for acc, v in zip(out, row)]
+    return out
+
+
+def inner_product(a, b, table):
+    """(1/|S|) * sum over classes of |C| * a(C) * conj(b(C))."""
+    if len(a) != table.class_count or len(b) != table.class_count:
+        raise ValueError("character vector length mismatch")
+    total = from_rational(0)
+    for cls, x, y in zip(table.classes, a, b):
+        total = total + cls.size * (x * y.conjugate())
+    return total * Fraction(1, table.group.order)
+
+
+def is_invariant(mult, pattern, table):
+    """Character constancy across fused classes, with early exit."""
+    values = character_of(mult, table)
+    first_of = {}
+    for idx, lab in enumerate(pattern.labels):
+        if lab in first_of:
+            if values[idx] != values[first_of[lab]]:
+                return False
+        else:
+            first_of[lab] = idx
+    return True
 
 
 def assert_orthogonal(rows, table):
@@ -306,7 +344,7 @@ def fraction_descent(n, coeffs):
     coordinates over zeta_(n/p) for some prime p | n."""
     coeffs = [Fraction(c) for c in coeffs]
     while n > 1:
-        for p in _prime_divisors_cached(n):
+        for p in prime_divisors(n):
             sol = solve_rational(_descent_matrix(n, n // p), coeffs)
             if sol is not None:
                 n, coeffs = n // p, sol

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from fmrep.catalog import CATALOG, load_group, traditional_labels
-from fmrep.chartab import character_table, inner_product
+from fmrep.chartab import character_table
 from fmrep.cyclonum import from_rational
 from fmrep.cli import run_analysis
 from fmrep.fimonoid import (
@@ -24,7 +24,12 @@ from fmrep.fusion import fusion_from_partition, fusion_pattern
 from fmrep.permcore import sylow_subgroup
 from fmrep.repring import rep_lattice
 
-from .oracles import atoms_bounded_search, factorization_lengths, monoid_elements_up_to_dimension
+from .oracles import (
+    atoms_bounded_search,
+    factorization_lengths,
+    inner_product,
+    monoid_elements_up_to_dimension,
+)
 
 
 def timed_run(name, prime=None):

@@ -1,12 +1,12 @@
 import pytest
 
 from fmrep.catalog import CATALOG
-from fmrep.chartab import character_of, character_table, inner_product
+from fmrep.chartab import character_table
 from fmrep.cyclonum import from_rational, zeta
 from fmrep.permcore import group_from_generators, parse_perm
 
 from .groups_zoo import all_groups_up_to_16
-from .oracles import numeric_character_table
+from .oracles import character_of, inner_product, numeric_character_table
 
 Z3 = group_from_generators([parse_perm("(1,2,3)", 3)])
 
@@ -123,23 +123,6 @@ def test_against_numeric_oracle_wreath(pipelines):
     S = pipelines.run("S9")[1]
     T = character_table(S)
     assert list(T.chars) == numeric_character_table(S)
-
-
-def test_export_table(pipelines):
-    import json
-
-    from fmrep.chartab import export_table
-
-    T = pipelines.run("S4")[2]
-    data = export_table(T)
-    assert json.loads(json.dumps(data)) == data
-    assert data["group_order"] == 8
-    assert data["degrees"] == [1, 1, 1, 1, 2]
-    assert data["classes"][0]["representative"] == "()"
-    assert len(data["characters"]) == 5
-    assert all(len(row) == 5 for row in data["characters"])
-    flat = {v for row in data["characters"] for v in row}
-    assert flat <= {"1", "-1", "0", "2", "-2"}
 
 
 def test_size_cap():

@@ -6,6 +6,7 @@ import pytest
 from fmrep import catalog
 from fmrep.cli import (
     EXIT_CAP,
+    EXIT_CERTIFICATE,
     EXIT_INPUT,
     EXIT_MISMATCH,
     EXIT_OK,
@@ -124,6 +125,17 @@ def test_internal_error_is_not_input_error(monkeypatch, capsys):
     with pytest.raises(ValueError, match="internal fault"):
         main(["run", "--group", "S4", "--prime", "2"])
     assert "input error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["run", "--group", "S4"], ["verify", "--tier", "fast"]])
+def test_exit_code_failed_certificate(monkeypatch, capsys, argv):
+    import fmrep.repring
+
+    real = fmrep.repring.integer_kernel
+    monkeypatch.setattr(fmrep.repring, "integer_kernel", lambda A: real(A)[:-1])
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_CERTIFICATE
+    assert "certificate failed: lattice rank" in err
 
 
 def test_exit_code_bad_prime(capsys):

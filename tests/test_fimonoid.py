@@ -8,7 +8,6 @@ import fmrep.fimonoid
 from fmrep.catalog import CATALOG, traditional_labels
 from fmrep.chartab import character_table
 from fmrep.fimonoid import (
-    DimensionCapExceeded,
     analyze,
     atoms_hilbert,
     check_convex_basis,
@@ -26,7 +25,7 @@ from fmrep.fimonoid import (
 )
 from fmrep.fusion import discrete_pattern, fusion_from_partition
 from fmrep.intlin import det
-from fmrep.permcore import CertificateError
+from fmrep.permcore import CapExceeded, CertificateError
 from fmrep.repring import RepLattice, rep_lattice
 
 from .oracles import BudgetExceeded, _lattice_points_in_box, atoms_bounded_search, solve_rational
@@ -248,7 +247,7 @@ def test_rank_cap():
         rank=r,
         basis=tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r)),
     )
-    with pytest.raises(DimensionCapExceeded):
+    with pytest.raises(CapExceeded, match="beyond caps"):
         atoms_hilbert(lattice, degrees=(1,) * r)
 
 

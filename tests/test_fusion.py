@@ -8,9 +8,10 @@ from fmrep.fusion import (
     discrete_pattern,
     fusion_from_partition,
     fusion_pattern,
-    is_invariant,
 )
 from fmrep.permcore import group_from_generators, parse_perm, sylow_subgroup
+
+from .oracles import is_invariant
 
 
 @pytest.mark.parametrize(

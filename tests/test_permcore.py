@@ -163,14 +163,15 @@ def test_sylow_nonprime_rejected():
 
 
 def test_sylow_certificates_survive_optimized_mode():
-    """tests/test_sylow.py, tests/test_intlin.py and the parallelepiped
-    tests, certificate tests included, under python -O."""
+    """tests/test_sylow.py, tests/test_intlin.py, tests/test_repring.py
+    and the parallelepiped tests, certificate tests included, under
+    python -O."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "tests/test_sylow.py", "tests/test_intlin.py",
+         "tests/test_sylow.py", "tests/test_intlin.py", "tests/test_repring.py",
          "tests/test_fimonoid.py::test_parallelepiped_points_random",
          "tests/test_fimonoid.py::test_parallelepiped_certificate"],
         cwd=root, env=env, capture_output=True, text=True, timeout=600,

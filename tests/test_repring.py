@@ -2,17 +2,20 @@ import itertools
 
 import pytest
 
+import fmrep.repring
 from fmrep.catalog import CATALOG, traditional_labels
-from fmrep.chartab import character_table
-from fmrep.fusion import discrete_pattern, is_invariant
-from fmrep.intlin import lattices_equal, solve_integer
+from fmrep.fusion import discrete_pattern
+from fmrep.intlin import integer_kernel, lattices_equal, solve_integer
+from fmrep.permcore import CertificateError
 from fmrep.repring import difference_matrix, format_virtual, fusing_pairs, rep_lattice
+
+from .oracles import is_invariant
 
 
 def test_discrete_pattern_gives_no_rows_and_full_lattice(pipelines):
     T = pipelines.run("S4")[2]
     D = discrete_pattern(T)
-    assert difference_matrix(D, T) == []
+    assert difference_matrix(D, T) == [[] for _ in range(T.irr_count)]
     L = rep_lattice(D, T)
     assert L.rank == T.irr_count
     assert list(L.basis) == [
@@ -78,13 +81,58 @@ def test_rank_equals_fusion_class_count(name, pipelines):
     assert L.rank == F.class_count
 
 
-@pytest.mark.parametrize("name", ["S4", "S6", "S9", "A9"])
+@pytest.mark.parametrize("name", [n for n, e in CATALOG.items() if e.tier == "fast"])
 def test_lattice_rows_invariant_and_contains_units(name, pipelines):
     _, _, T, F, L, _ = pipelines.run(name)
     for row in L.basis:
         assert is_invariant(row, F, T)
     assert L.contains(T.trivial_vector())
     assert L.contains(T.regular_vector())
+
+
+def test_difference_rows_match_oracle_invariance(pipelines):
+    """A unit vector has zero difference row exactly when its
+    irreducible is constant on fused classes."""
+    _, _, T, F, _, _ = pipelines.run("S9")
+    diff = difference_matrix(F, T)
+    assert len(diff) == T.irr_count
+    for j, row in enumerate(diff):
+        unit = [int(i == j) for i in range(T.irr_count)]
+        assert (not any(row)) == is_invariant(unit, F, T)
+
+
+def _patched_kernel(monkeypatch, edit):
+    def kernel(diff):
+        return edit([list(r) for r in integer_kernel(diff)], diff)
+
+    monkeypatch.setattr(fmrep.repring, "integer_kernel", kernel)
+
+
+def test_certificate_kernel_row_breaks_condition(monkeypatch, pipelines):
+    _, _, T, F, _, _ = pipelines.run("S4")
+
+    def swap_in_unit(rows, diff):
+        j = next(j for j, d in enumerate(diff) if any(d))
+        rows[-1] = [int(i == j) for i in range(len(diff))]
+        return rows
+
+    _patched_kernel(monkeypatch, swap_in_unit)
+    with pytest.raises(CertificateError, match="breaks a fusion condition"):
+        rep_lattice(F, T)
+
+
+def test_certificate_kernel_missing_row(monkeypatch, pipelines):
+    _, _, T, F, _, _ = pipelines.run("S4")
+    _patched_kernel(monkeypatch, lambda rows, diff: rows[:-1])
+    with pytest.raises(CertificateError, match="rank"):
+        rep_lattice(F, T)
+
+
+def test_certificate_kernel_sublattice(monkeypatch, pipelines):
+    _, _, T, F, _, _ = pipelines.run("S4")
+    _patched_kernel(monkeypatch, lambda rows, diff: [[2 * x for x in r] for r in rows])
+    with pytest.raises(CertificateError, match="misses the trivial vector"):
+        rep_lattice(F, T)
 
 
 def test_lattice_solves_and_coordinates(pipelines):
