@@ -15,9 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt, lcm
 
-from .cyclonum import from_rational, prime_divisors, zeta
+from .cyclonum import Cyclotomic, from_rational, prime_divisors
+from .cyclonum import zeta  # noqa: F401  (traced by perfbench/bench_trace.py)
 from .permcore import (
     CapExceeded,
+    CertificateError,
     PermGroup,
     class_partition,
     identity,
@@ -122,23 +124,21 @@ def character_table(S: PermGroup) -> CharacterTable:
             o = order_of[j]
             z_o = pow(z_e, exponent // o, ell)
             inv_o = pow(o, ell - 2, ell)
-            value = from_rational(0)
-            total = 0
-            for m_exp in range(o):
-                n_m = (
-                    sum(
-                        chi_mod[power_class[j][t]] * pow(z_o, -m_exp * t % (ell - 1), ell)
-                        for t in range(o)
-                    )
-                    * inv_o
-                    % ell
+            # mults[m]: multiplicity of zeta_o^m among the eigenvalues at class j
+            mults = [
+                sum(
+                    chi_mod[power_class[j][t]] * pow(z_o, -m_exp * t % (ell - 1), ell)
+                    for t in range(o)
                 )
-                assert n_m <= degree, "eigenvalue multiplicity lift out of range"
-                total += n_m
-                if n_m:
-                    value = value + n_m * zeta(o, m_exp)
-            assert total == degree
-            row.append(value)
+                * inv_o
+                % ell
+                for m_exp in range(o)
+            ]
+            if max(mults) > degree:
+                raise CertificateError("eigenvalue multiplicity lift out of range")
+            if sum(mults) != degree:
+                raise CertificateError("eigenvalue multiplicities do not sum to the degree")
+            row.append(Cyclotomic(o, mults))
         assert row[0] == degree
         rows.append(row)
 

@@ -358,29 +358,34 @@ def _require_basis(basis, lattice: RepLattice):
         raise NotALatticeBasis("rows do not form a basis of the lattice")
 
 
+def _require_genuine_basis(basis, lattice: RepLattice):
+    _require_basis(basis, lattice)
+    if any(min(b) < 0 for b in basis):
+        raise NotALatticeBasis("basis members must be genuine (nonnegative) representations")
+
+
+def _has_private_constituent(j, basis) -> bool:
+    support = {c for c, m in enumerate(basis[j]) if m}
+    for i, b in enumerate(basis):
+        if i != j:
+            support -= {c for c, m in enumerate(b) if m}
+    return bool(support)
+
+
 def check_private_irreducible_basis(basis, lattice: RepLattice) -> bool:
     """Each basis member owns a constituent appearing in no other member.
 
     A passing nonnegative basis certifies factoriality and is then
     exactly the atom set.
     """
-    _require_basis(basis, lattice)
-    if any(min(b) < 0 for b in basis):
-        raise NotALatticeBasis("basis members must be genuine (nonnegative) representations")
-    return all(certify_irreducible(j, basis, lattice, _validated=True) for j in range(len(basis)))
+    _require_genuine_basis(basis, lattice)
+    return all(_has_private_constituent(j, basis) for j in range(len(basis)))
 
 
-def certify_irreducible(j, basis, lattice: RepLattice, _validated=False) -> bool:
+def certify_irreducible(j, basis, lattice: RepLattice) -> bool:
     """Whether basis[j] has a constituent absent from every other member."""
-    if not _validated:
-        _require_basis(basis, lattice)
-        if any(min(b) < 0 for b in basis):
-            raise NotALatticeBasis("basis members must be genuine (nonnegative) representations")
-    support = {c for c, m in enumerate(basis[j]) if m}
-    for i, b in enumerate(basis):
-        if i != j:
-            support -= {c for c, m in enumerate(b) if m}
-    return bool(support)
+    _require_genuine_basis(basis, lattice)
+    return _has_private_constituent(j, basis)
 
 
 def check_disjoint_basis(basis, lattice: RepLattice) -> bool:

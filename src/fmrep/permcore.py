@@ -66,26 +66,32 @@ def power(p, n):
     return q
 
 
-def cycle_lengths(p):
-    """Sorted (descending) cycle lengths, fixed points included."""
+def cycles(p, points=None):
+    """Cycles of p as point lists, each starting at its least point, in
+    ascending order of that point; fixed points are 1-cycles.  `points`
+    restricts the walk to a p-invariant point set."""
     seen = bytearray(len(p))
     out = []
-    for i in range(len(p)):
+    for i in range(len(p)) if points is None else sorted(points):
         if seen[i]:
             continue
-        n = 0
-        j = i
-        while not seen[j]:
+        cyc, j = [i], p[i]
+        seen[i] = 1
+        while j != i:
             seen[j] = 1
+            cyc.append(j)
             j = p[j]
-            n += 1
-        out.append(n)
-    out.sort(reverse=True)
-    return tuple(out)
+        out.append(cyc)
+    return out
+
+
+def cycle_lengths(p):
+    """Sorted (descending) cycle lengths, fixed points included."""
+    return tuple(sorted(map(len, cycles(p)), reverse=True))
 
 
 def perm_order(p):
-    return lcm(*set(cycle_lengths(p)))
+    return lcm(*map(len, cycles(p)))
 
 
 def _p_order(x, prime, limit, ident, point):
@@ -154,21 +160,8 @@ def max_point(text):
 
 def format_perm(p):
     """Disjoint-cycle notation, 1-based; identity is "()"."""
-    seen = bytearray(len(p))
-    parts = []
-    for i in range(len(p)):
-        if seen[i] or p[i] == i:
-            seen[i] = 1
-            continue
-        cyc = [i]
-        seen[i] = 1
-        j = p[i]
-        while j != i:
-            seen[j] = 1
-            cyc.append(j)
-            j = p[j]
-        parts.append("(" + ",".join(str(k + 1) for k in cyc) + ")")
-    return "".join(parts) if parts else "()"
+    parts = ["(" + ",".join(str(k + 1) for k in c) + ")" for c in cycles(p) if len(c) > 1]
+    return "".join(parts) or "()"
 
 
 class PermGroup:
@@ -332,7 +325,7 @@ class PermGroup:
 
 def _parity(p):
     """0 for even permutations, 1 for odd."""
-    return (len(p) - len(cycle_lengths(p))) & 1
+    return (len(p) - len(cycles(p))) & 1
 
 
 def group_from_generators(gens, degree=None):
@@ -468,113 +461,6 @@ class ConjClass:
     element_order: int
 
 
-def _class_orbits(S, cap):
-    """(ConjClass, orbit) pairs of S by full element enumeration, in the
-    canonical class order."""
-    if S.order > cap:
-        raise CapExceeded(f"group order {S.order} exceeds class enumeration cap {cap}")
-    remaining = set(S.elements())
-    conj = [(_left(inverse(g)), g) for g in S.generators]  # y^g = g_inv(mul(y, g))
-    out = []
-    for x in sorted(remaining):
-        if x not in remaining:
-            continue
-        orbit = {x}
-        queue = [x]
-        for y in queue:
-            y_left = _left(y)
-            for g_inv, g in conj:
-                z = g_inv(y_left(g))
-                if z not in orbit:
-                    orbit.add(z)
-                    queue.append(z)
-        remaining -= orbit
-        out.append((ConjClass(representative=x, size=len(orbit), element_order=perm_order(x)), orbit))
-    out.sort(key=lambda co: (co[0].element_order, co[0].size, co[0].representative))
-    return out
-
-
-def conjugacy_classes(S, cap=10**5):
-    """Conjugacy classes of S by full element enumeration.
-
-    Classes are ordered canonically: by element order, then class size,
-    then lexicographically minimal representative (so the identity class
-    is always first).
-    """
-    return [c for c, _ in _class_orbits(S, cap)]
-
-
-def class_partition(S, cap=10**5):
-    """Same classes as conjugacy_classes, returned as (classes, element->index)."""
-    orbits = _class_orbits(S, cap)
-    lookup = {y: idx for idx, (_, orbit) in enumerate(orbits) for y in orbit}
-    return [c for c, _ in orbits], lookup
-
-
-# -- conjugacy testing -----------------------------------------------------
-
-
-def _cycle_type_on(p, points):
-    """Cycle lengths of p restricted to an invariant point set (fixed included)."""
-    pts = set(points)
-    seen = set()
-    out = []
-    for i in points:
-        if i in seen:
-            continue
-        n = 0
-        j = i
-        while j not in seen:
-            seen.add(j)
-            j = p[j]
-            n += 1
-        out.append(n)
-    assert seen == pts
-    out.sort(reverse=True)
-    return tuple(out)
-
-
-def _canonical_conjugator(x, y, points, degree):
-    """Some s in Sym(points) with s*x*s^-1 = y, given equal cycle types."""
-
-    def cycles_of(p):
-        seen = set()
-        cycs = []
-        for i in sorted(points):
-            if i in seen:
-                continue
-            cyc = [i]
-            seen.add(i)
-            j = p[i]
-            while j != i:
-                seen.add(j)
-                cyc.append(j)
-                j = p[j]
-            cycs.append(cyc)
-        cycs.sort(key=lambda c: (-len(c), c[0]))
-        return cycs
-
-    s = list(range(degree))
-    for cx, cy in zip(cycles_of(x), cycles_of(y)):
-        assert len(cx) == len(cy)
-        for a, b in zip(cx, cy):
-            s[a] = b
-    return tuple(s)
-
-
-def _has_odd_centralizer_element(x, points):
-    """Whether some odd permutation of `points` centralizes x.
-
-    True iff x (restricted to `points`) has an even-length cycle or two
-    cycles of equal length: the cycle itself, or the block swap, is an
-    odd centralizing element exactly in those cases.
-    """
-    lengths = _cycle_type_on(x, points)
-    if any(n % 2 == 0 for n in lengths):
-        return True
-    return len(lengths) != len(set(lengths))
-
-
 def conjugation_orbit(x, gens, cap=10**6, targets=None):
     """Orbit of x under conjugation by a generator list.
 
@@ -603,63 +489,111 @@ def conjugation_orbit(x, gens, cap=10**6, targets=None):
     return orbit
 
 
-def is_conjugate(G, x, y, cap=10**6):
-    """Whether x and y are conjugate in G.
+def _class_orbits(S, cap):
+    """(ConjClass, orbit) pairs of S by full element enumeration, in the
+    canonical class order."""
+    if S.order > cap:
+        raise CapExceeded(f"group order {S.order} exceeds class enumeration cap {cap}")
+    remaining = set(S.elements())
+    out = []
+    for x in sorted(remaining):
+        if x in remaining:
+            orbit = conjugation_orbit(x, S.generators, cap=cap)
+            remaining -= orbit
+            out.append((ConjClass(representative=x, size=len(orbit), element_order=perm_order(x)), orbit))
+    out.sort(key=lambda co: (co[0].element_order, co[0].size, co[0].representative))
+    return out
 
-    Uses the cycle-type fast path when G is the full symmetric or
-    alternating group on its moved points, otherwise enumerates the
-    conjugation orbit of x (capped; CapExceeded means undecided).
+
+def conjugacy_classes(S, cap=10**5):
+    """Conjugacy classes of S by full element enumeration.
+
+    Classes are ordered canonically: by element order, then class size,
+    then lexicographically minimal representative (so the identity class
+    is always first).
     """
+    return [c for c, _ in _class_orbits(S, cap)]
+
+
+def class_partition(S, cap=10**5):
+    """Same classes as conjugacy_classes, returned as (classes, element->index)."""
+    orbits = _class_orbits(S, cap)
+    lookup = {y: idx for idx, (_, orbit) in enumerate(orbits) for y in orbit}
+    return [c for c, _ in orbits], lookup
+
+
+# -- conjugacy testing -----------------------------------------------------
+
+
+def _alternating_conjugate(x, y, points):
+    """Whether x and y, of one cycle type on the invariant set `points`,
+    are conjugate in Alt(points).
+
+    They are when some odd permutation of `points` centralizes x (x has
+    an even-length cycle, or two cycles of one length: the cycle, or the
+    swap of the two, is one).  Otherwise the cycle lengths are distinct,
+    and they are exactly when the conjugator that maps each cycle of x
+    onto the cycle of y of the same length is even.
+    """
+    cx, cy = (sorted(cycles(p, points), key=len) for p in (x, y))
+    lengths = [len(c) for c in cx]
+    if any(n % 2 == 0 for n in lengths) or len(set(lengths)) < len(lengths):
+        return True
+    s = list(range(len(x)))
+    for a, b in zip(cx, cy):
+        for u, v in zip(a, b):
+            s[u] = v
+    return _parity(s) == 0
+
+
+def _conjugates_among(G, x, ys, cap):
+    """The members of ys that are conjugate to x in G.
+
+    Candidates of another cycle type drop out first.  When x and every
+    candidate fix each point that G fixes, the full symmetric group on
+    the moved points keeps all of them and the alternating group decides
+    by _alternating_conjugate; otherwise one conjugation-orbit walk of x,
+    capped (CapExceeded means undecided), stops once all are seen.
+    """
+    ctype = cycle_lengths(x)
+    ys = [y for y in ys if cycle_lengths(y) == ctype]
+    if not ys:
+        return []
+    moved = G.moved_points()
+    fixed = set(range(G.degree)).difference(moved)
+    if all(p[i] == i for p in (x, *ys) for i in fixed):
+        if G.is_natural_symmetric():
+            return ys
+        if G.is_natural_alternating():
+            return [y for y in ys if _alternating_conjugate(x, y, moved)]
+    orbit = conjugation_orbit(x, G.generators, cap=cap, targets=ys)
+    return [y for y in ys if y in orbit]
+
+
+def is_conjugate(G, x, y, cap=10**6):
+    """Whether x and y are conjugate in G (see _conjugates_among)."""
     x, y = tuple(x), tuple(y)
     if len(x) != G.degree or len(y) != G.degree:
         raise ValueError("degree mismatch")
-    if x == y:
-        return True
-    if cycle_lengths(x) != cycle_lengths(y):
-        return False
-    if G.is_natural_symmetric():
-        return True
-    if G.is_natural_alternating():
-        points = G.moved_points()
-        s = _canonical_conjugator(x, y, points, G.degree)
-        if _parity(s) == 0:
-            return True
-        return _has_odd_centralizer_element(x, points)
-    return y in conjugation_orbit(x, G.generators, cap=cap, targets={y})
+    return bool(_conjugates_among(G, x, [y], cap))
 
 
 def fuse_by_conjugacy(G, reps, cap=10**6):
     """Partition `reps` by G-conjugacy; returns a list of group labels 0..k-1.
 
-    Pairs are pre-filtered by cycle type, and each needed conjugation
-    orbit is walked once, marking every representative it contains.
+    Each representative not yet labelled decides, in one call of
+    _conjugates_among, which later unlabelled ones share its class.
     """
-    n = len(reps)
-    labels = [None] * n
+    labels = [None] * len(reps)
     next_label = 0
-    fast_sym = G.is_natural_symmetric()
-    fast_alt = G.is_natural_alternating()
-    for i in range(n):
+    for i, x in enumerate(reps):
         if labels[i] is not None:
             continue
+        rest = [j for j in range(i + 1, len(reps)) if labels[j] is None]
+        matched = set(_conjugates_among(G, x, [reps[j] for j in rest], cap))
         labels[i] = next_label
-        candidates = [
-            j
-            for j in range(i + 1, n)
-            if labels[j] is None and cycle_lengths(reps[j]) == cycle_lengths(reps[i])
-        ]
-        if fast_sym:
-            matched = candidates
-        elif fast_alt:
-            matched = [j for j in candidates if is_conjugate(G, reps[i], reps[j])]
-        elif candidates:
-            orbit = conjugation_orbit(
-                reps[i], G.generators, cap=cap, targets=set(reps[j] for j in candidates)
-            )
-            matched = [j for j in candidates if reps[j] in orbit]
-        else:
-            matched = []
-        for j in matched:
-            labels[j] = next_label
+        for j in rest:
+            if reps[j] in matched:
+                labels[j] = next_label
         next_label += 1
     return labels

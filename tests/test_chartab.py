@@ -135,3 +135,14 @@ def test_size_cap():
     assert big.order > SIZE_CAP
     with pytest.raises(CapExceeded):
         character_table(big)
+
+
+def test_value_lift_certificate(monkeypatch):
+    # with 1 as the primitive root every eigenvalue reads as 1, so the
+    # lifted multiplicities of a nontrivial class cannot sum to the degree
+    from fmrep import chartab
+    from fmrep.permcore import CertificateError
+
+    monkeypatch.setattr(chartab, "_primitive_root", lambda ell: 1)
+    with pytest.raises(CertificateError, match="multiplicit"):
+        character_table(Z3)

@@ -11,6 +11,7 @@ from fmrep.permcore import (
     CapExceeded,
     conjugacy_classes,
     conjugate,
+    conjugation_orbit,
     cycle_lengths,
     format_perm,
     fuse_by_conjugacy,
@@ -163,21 +164,28 @@ def test_sylow_nonprime_rejected():
 
 
 def test_sylow_certificates_survive_optimized_mode():
-    """tests/test_sylow.py, tests/test_intlin.py, tests/test_repring.py
-    and the parallelepiped tests, certificate tests included, under
-    python -O."""
+    """tests/test_sylow.py, tests/test_intlin.py, tests/test_repring.py,
+    the parallelepiped tests and the character-value lift certificate,
+    certificate tests included, and the conjugacy tests of this file,
+    under python -O."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "tests/test_sylow.py", "tests/test_intlin.py", "tests/test_repring.py",
+    selections = [
+        ["tests/test_sylow.py", "tests/test_intlin.py", "tests/test_repring.py",
          "tests/test_fimonoid.py::test_parallelepiped_points_random",
-         "tests/test_fimonoid.py::test_parallelepiped_certificate"],
-        cwd=root, env=env, capture_output=True, text=True, timeout=600,
-    )
-    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
-    assert " passed" in proc.stdout and "failed" not in proc.stdout
+         "tests/test_fimonoid.py::test_parallelepiped_certificate",
+         "tests/test_chartab.py::test_value_lift_certificate"],
+        # -k keeps this test from running itself
+        ["tests/test_permcore.py", "-k", "conjugat or fast_path or fusion or split_classes"],
+    ]
+    for args in selections:
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *args],
+            cwd=root, env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+        assert " passed" in proc.stdout and "failed" not in proc.stdout
 
 
 @pytest.mark.parametrize(
@@ -354,3 +362,42 @@ def test_conjugacy_cap_exceeded():
     )
     with pytest.raises(CapExceeded):
         is_conjugate(G, x, y, cap=1)
+
+
+@pytest.mark.parametrize("rule_group", [S, A])
+def test_is_conjugate_moves_points_g_fixes(rule_group):
+    # S5 and A5 acting on 6 points: point 6 is fixed by G, so (5,6) is
+    # conjugate only to transpositions through 6, never to (1,2)
+    G = group_from_generators([g + (5,) for g in rule_group(5).generators])
+    x, y = parse_perm("(5,6)", 6), parse_perm("(1,2)", 6)
+    assert y not in conjugation_orbit(x, G.generators)
+    assert not is_conjugate(G, x, y)
+    assert not is_conjugate(G, y, x)
+    assert is_conjugate(G, x, parse_perm("(1,6)", 6))
+    assert fuse_by_conjugacy(G, [y, x, parse_perm("(3,4)", 6)]) == [0, 1, 0]
+
+
+def _blocks(labels):
+    return sorted(tuple(i for i, lab in enumerate(labels) if lab == b) for b in set(labels))
+
+
+def test_fusion_dispatch_matches_orbit_walk(pipelines):
+    """The symmetric and alternating rules against plain orbit walks, on
+    every catalog group that is natural Sym or Alt."""
+    natural = []
+    for name, entry in CATALOG.items():
+        if entry.tier not in ("fast", "table"):
+            continue
+        G = pipelines.group(name)
+        if not (G.is_natural_symmetric() or G.is_natural_alternating()):
+            continue
+        natural.append(name)
+        reps = [c.representative for c in pipelines.run(name)[2].classes]
+        walked = []
+        for i, x in enumerate(reps):
+            same = [y for y in reps[:i] if cycle_lengths(y) == cycle_lengths(x)]
+            orbit = conjugation_orbit(x, G.generators, targets=same)
+            first = next((reps.index(y) for y in same if y in orbit), None)
+            walked.append(i if first is None else walked[first])
+        assert _blocks(fuse_by_conjugacy(G, reps)) == _blocks(walked), name
+    assert natural == ["S3", "S4", "S6", "S8", "S9", "A6", "A8", "A9"]
