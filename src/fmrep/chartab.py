@@ -12,6 +12,7 @@ serialized values, so multiplicity vectors are stable across runs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import isqrt, lcm
 
@@ -56,7 +57,7 @@ class CharacterTable:
         for i, row in enumerate(self.chars):
             if all(v == one for v in row):
                 return i
-        raise AssertionError("no trivial character")
+        raise CertificateError("no trivial character")
 
     def trivial_vector(self):
         v = [0] * self.irr_count
@@ -86,18 +87,9 @@ def character_table(S: PermGroup) -> CharacterTable:
     class_elements = _class_elements(S, lookup, k)
     inv_class = [lookup[inverse(r)] for r in reps]
 
-    # class multiplication matrices: (A_i)[j][m] = #{x in C_i : x^-1 z_m in C_j}
-    mats = []
-    for i in range(k):
-        A = [[0] * k for _ in range(k)]
-        for m in range(k):
-            z = reps[m]
-            for x in class_elements[i]:
-                A[lookup[mul(inverse(x), z)]][m] += 1
-        mats.append(A)
-
-    omegas = _split_eigenvectors(mats, ell, k)
-    assert len(omegas) == k
+    omegas = _split_eigenvectors(class_elements, reps, lookup, ell)
+    if len(omegas) != k:
+        raise CertificateError(f"found {len(omegas)} common eigenvectors for {k} classes")
 
     g = _primitive_root(ell)
     z_e = pow(g, (ell - 1) // exponent, ell)
@@ -139,10 +131,12 @@ def character_table(S: PermGroup) -> CharacterTable:
             if sum(mults) != degree:
                 raise CertificateError("eigenvalue multiplicities do not sum to the degree")
             row.append(Cyclotomic(o, mults))
-        assert row[0] == degree
+        if row[0] != degree:
+            raise CertificateError(f"lifted degree {row[0]} is not {degree}")
         rows.append(row)
 
-    assert sum(r[0].rational_value() ** 2 for r in rows) == S.order
+    if sum(r[0].rational_value() ** 2 for r in rows) != S.order:
+        raise CertificateError(f"squared degrees do not sum to |S| = {S.order}")
     rows.sort(key=lambda r: (r[0].rational_value(), tuple(str(v) for v in r)))
     table = CharacterTable(
         group=S,
@@ -202,11 +196,10 @@ def _rref_mod(rows, ell):
     return rows[:r], pivots
 
 
-def _left_nullspace_mod(M, ell):
-    """Basis of {y : y*M = 0 mod ell} for square M, via RREF of M^T."""
+def _nullspace_mod(M, ell):
+    """Basis of {y : M*y = 0 mod ell} for square M, via RREF of M."""
     n = len(M)
-    Mt = [[M[j][i] % ell for j in range(n)] for i in range(n)]
-    rref, pivots = _rref_mod(Mt, ell)
+    rref, pivots = _rref_mod(M, ell)
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:
@@ -218,14 +211,39 @@ def _left_nullspace_mod(M, ell):
     return basis
 
 
-def _split_eigenvectors(mats, ell, k):
-    """Common eigenvectors (up to scale) of the class matrices over F_ell."""
+def _combination(coeffs, rows, ell):
+    """sum_t coeffs[t] * rows[t] mod ell."""
+    vec = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            vec = [v + c * x for v, x in zip(vec, row)]
+    return [v % ell for v in vec]
+
+
+def _class_matrix(elements, reps, lookup):
+    """Class matrix (A_i)[j][m] = #{x in C_i : x^-1 z_m in C_j} of the
+    class C_i = `elements`, as the nonzero (j, count) pairs of each column m."""
+    inverses = [inverse(x) for x in elements]
+    return [tuple(Counter(lookup[mul(y, z)] for y in inverses).items()) for z in reps]
+
+
+def _split_eigenvectors(class_elements, reps, lookup, ell):
+    """Common eigenvectors (up to scale) of the class matrices over F_ell.
+
+    Each eigenspace is kept as RREF rows with their pivot columns.  A
+    class matrix is built only when the split reaches it, and restricted
+    to every eigenspace of dimension > 1; the eigenspace is split by the
+    lambda scan only when that restriction is not scalar, since a scalar
+    restriction has the whole eigenspace, in the same RREF rows, as its
+    one eigenspace.
+    """
+    k = len(reps)
     full = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
     spaces = [(_rref_mod(full, ell))]
     for idx in range(1, k):
-        A = mats[idx]
         if all(len(rows) == 1 for rows, _ in spaces):
             break
+        A = _class_matrix(class_elements[idx], reps, lookup)
         new_spaces = []
         for rows, pivots in spaces:
             dim = len(rows)
@@ -235,28 +253,30 @@ def _split_eigenvectors(mats, ell, k):
             # restriction X: A * b_t = sum_s X[t][s] * b_s
             X = []
             for b in rows:
-                img = [sum(A[r][c] * b[c] for c in range(k)) % ell for r in range(k)]
-                coords = [0] * dim
-                for t, pc in enumerate(pivots):
-                    coords[t] = img[pc]
-                    if coords[t]:
-                        img = [(x - coords[t] * y) % ell for x, y in zip(img, rows[t])]
-                assert not any(img), "class matrix does not preserve eigenspace"
+                img = [0] * k
+                for x, col in zip(b, A):
+                    if x:
+                        for r, a in col:
+                            img[r] += a * x
+                img = [y % ell for y in img]
+                coords = [img[pc] for pc in pivots]
+                if _combination(coords, rows, ell) != img:
+                    raise CertificateError(f"class matrix {idx} does not preserve an eigenspace")
                 X.append(coords)
+            if X == [[X[0][0] if t == s else 0 for s in range(dim)] for t in range(dim)]:
+                new_spaces.append((rows, pivots))
+                continue
+            # the left eigenvectors of X for lam span the nullspace of X^T - lam*I
+            Xt = [list(col) for col in zip(*X)]
             for lam in range(ell):
                 shifted = [
-                    [(X[t][s] - (lam if t == s else 0)) % ell for s in range(dim)]
-                    for t in range(dim)
+                    row[:t] + [(row[t] - lam) % ell] + row[t + 1:] for t, row in enumerate(Xt)
                 ]
-                ys = _left_nullspace_mod(shifted, ell)
+                ys = _nullspace_mod(shifted, ell)
                 if not ys:
                     continue
-                sub = [
-                    [sum(y[t] * rows[t][c] for t in range(dim)) % ell for c in range(k)]
-                    for y in ys
-                ]
-                new_spaces.append(_rref_mod(sub, ell))
+                new_spaces.append(_rref_mod([_combination(y, rows, ell) for y in ys], ell))
         spaces = new_spaces
-    assert all(len(rows) == 1 for rows, _ in spaces), "splitting incomplete"
-    vecs = sorted(rows[0] for rows, _ in spaces)
-    return vecs
+    if any(len(rows) != 1 for rows, _ in spaces):
+        raise CertificateError("class matrices do not split F_ell^k into lines")
+    return sorted(rows[0] for rows, _ in spaces)

@@ -138,9 +138,6 @@ class Cyclotomic:
     def __hash__(self):
         return hash((self.n, self.coeffs))
 
-    def is_zero(self):
-        return not any(self.coeffs)
-
     def rational_value(self):
         if self.n != 1:
             raise ValueError(f"{self} is not rational")
@@ -213,21 +210,6 @@ class Cyclotomic:
         if self.n <= 2:
             return self
         return self.galois(self.n - 1)
-
-    def trace(self):
-        """Sum over all Galois conjugates; an exact rational."""
-        total = from_rational(0)
-        for t in range(1, self.n + 1):
-            if gcd(t, self.n) == 1:
-                total = total + self.galois(t)
-        return total.rational_value()
-
-    def to_complex(self):
-        """Float evaluation; sanity oracle only, never used by core code."""
-        import cmath
-
-        z = cmath.exp(2j * cmath.pi / self.n)
-        return sum(float(c) * z**i for i, c in enumerate(self.coeffs))
 
     # -- display ------------------------------------------------------------
 

@@ -35,10 +35,6 @@ class FusionPattern:
             out.setdefault(lab, []).append(idx)
         return [out[lab] for lab in sorted(out)]
 
-    def labels_with_count(self):
-        """The label list with the class count appended as a final entry."""
-        return list(self.labels) + [self.class_count]
-
 
 def _canonical_labels(raw):
     seen = {}

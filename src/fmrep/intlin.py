@@ -167,10 +167,6 @@ def det(A):
     return sign * pivot if r == n else 0
 
 
-def is_unimodular(U):
-    return abs(det(U)) == 1
-
-
 def adjugate(A):
     """(d, adj) with d = det A and adj * A = A * adj = d * I.
 

@@ -50,15 +50,6 @@ class RunReport:
             out.pop("timings")
         return out
 
-    @classmethod
-    def from_json_dict(cls, data):
-        data = dict(data)
-        data.setdefault("timings", {})
-        for key in ("fusion_labels",):
-            if data.get(key) is not None:
-                data[key] = list(data[key])
-        return cls(**data)
-
     def canonical_bytes(self):
         """Deterministic serialization (timings stripped)."""
         return json.dumps(

@@ -163,3 +163,13 @@ def all_groups_up_to_16():
     add("Z4:Z4", z4_rtimes_z4_data())
     add("Z2^2:Z4", klein_rtimes_z4_data())
     return out
+
+
+def sylow_products():
+    """(name, PermGroup) pairs: products of small Sylow subgroups with
+    k = 20, 51 and 40 classes."""
+    return [
+        ("D8xC2xC2", _perm_group("(1,2)", "(1,3)(2,4)", "(5,6)", "(7,8)", 8)),
+        ("C3wrC3xC3", _perm_group("(1,2,3)", "(1,4,7)(2,5,8)(3,6,9)", "(10,11,12)", 12)),
+        ("C2wrC2wrC2xC2", _perm_group("(1,2)", "(1,3)(2,4)", "(1,5)(2,6)(3,7)(4,8)", "(9,10)", 10)),
+    ]

@@ -5,6 +5,9 @@ over the complex numbers (numpy), then snaps the eigenvalue
 multiplicities to integers and rebuilds exact cyclotomic rows; exact
 orthogonality of the rebuilt table certifies the numeric step.  It
 shares no code path with the finite-field computation in fmrep.chartab.
+Its class matrices come from class_matrices, which builds each one
+densely from the definition; the tests also check the eigenvectors of
+the sparse split in fmrep.chartab against them mod ell.
 
 The factorization oracle enumerates, by exhaustive search, every way of
 writing a monoid element as a sum of atoms.
@@ -27,14 +30,19 @@ linearization in fmrep.repring.
 The descent oracle finds the minimal conductor of a cyclotomic number
 by Gauss-Jordan elimination over Fraction, independently of the
 integer solve in fmrep.cyclonum.
+
+to_complex, galois_trace, is_unimodular and report_from_json_dict are
+helpers that only the tests need.
 """
 
 import cmath
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
 from fmrep.cyclonum import _descent_matrix, from_rational, prime_divisors, zeta
+from fmrep.intlin import det
 from fmrep.permcore import (
     class_partition,
     closure,
@@ -47,6 +55,7 @@ from fmrep.permcore import (
     perm_order,
     trivial_group,
 )
+from fmrep.report import RunReport
 
 
 DEFAULT_SEARCH_BUDGET = 10**8
@@ -63,18 +72,7 @@ def numeric_character_table(S, seed=0):
     k = len(classes)
     reps = [c.representative for c in classes]
     sizes = [c.size for c in classes]
-    by_class = [[] for _ in range(k)]
-    for x in sorted(lookup):
-        by_class[lookup[x]].append(x)
-
-    mats = []
-    for i in range(k):
-        A = np.zeros((k, k))
-        for m in range(k):
-            z = reps[m]
-            for x in by_class[i]:
-                A[lookup[mul(inverse(x), z)], m] += 1
-        mats.append(A)
+    mats = [np.array(A, dtype=float) for A in class_matrices(S)]
 
     rng = np.random.default_rng(seed)
     for attempt in range(10):
@@ -126,6 +124,25 @@ def numeric_character_table(S, seed=0):
 
     rows.sort(key=lambda r: (r[0].rational_value(), tuple(str(x) for x in r)))
     return [tuple(r) for r in rows]
+
+
+def class_matrices(S):
+    """Dense class matrices, straight from the definition:
+    (A_i)[j][m] = #{x in C_i : x^-1 z_m in C_j}, z_m the representative
+    of class m, in the class order of class_partition."""
+    classes, lookup = class_partition(S)
+    k = len(classes)
+    by_class = [[] for _ in range(k)]
+    for x in lookup:
+        by_class[lookup[x]].append(x)
+    mats = []
+    for i in range(k):
+        A = [[0] * k for _ in range(k)]
+        for m, c in enumerate(classes):
+            for x in by_class[i]:
+                A[lookup[mul(inverse(x), c.representative)]][m] += 1
+        mats.append(A)
+    return mats
 
 
 def _power(p, t):
@@ -389,3 +406,31 @@ def solve_rational(rows, target):
     if any(t):
         return None
     return sol
+
+
+def to_complex(a):
+    """Float evaluation of a Cyclotomic; a sanity check only."""
+    z = cmath.exp(2j * cmath.pi / a.n)
+    return sum(float(c) * z**i for i, c in enumerate(a.coeffs))
+
+
+def galois_trace(a):
+    """Sum of the Galois conjugates of a Cyclotomic; an exact rational."""
+    total = from_rational(0)
+    for t in range(1, a.n + 1):
+        if gcd(t, a.n) == 1:
+            total = total + a.galois(t)
+    return total.rational_value()
+
+
+def is_unimodular(U):
+    return abs(det(U)) == 1
+
+
+def report_from_json_dict(data):
+    """The RunReport that RunReport.to_json_dict serialized to `data`."""
+    data = dict(data)
+    data.setdefault("timings", {})
+    if data.get("fusion_labels") is not None:
+        data["fusion_labels"] = list(data["fusion_labels"])
+    return RunReport(**data)

@@ -1,14 +1,20 @@
+from dataclasses import replace
+from math import lcm
+
+import numpy as np
 import pytest
 
+from fmrep import chartab
 from fmrep.catalog import CATALOG
 from fmrep.chartab import character_table
 from fmrep.cyclonum import from_rational, zeta
-from fmrep.permcore import group_from_generators, parse_perm
+from fmrep.permcore import CertificateError, class_partition, group_from_generators, parse_perm
 
-from .groups_zoo import all_groups_up_to_16
-from .oracles import character_of, inner_product, numeric_character_table
+from .groups_zoo import all_groups_up_to_16, sylow_products
+from .oracles import character_of, class_matrices, inner_product, numeric_character_table
 
 Z3 = group_from_generators([parse_perm("(1,2,3)", 3)])
+D8 = group_from_generators([parse_perm("(1,2,3,4)", 4), parse_perm("(1,3)", 4)])
 
 
 def test_cyclic3_values():
@@ -119,6 +125,32 @@ def test_against_numeric_oracle_all_groups_up_to_16(name, G):
     assert list(T.chars) == oracle_rows, f"table mismatch for {name}"
 
 
+@pytest.mark.parametrize("name,G", sylow_products())
+def test_against_numeric_oracle_sylow_products(name, G):
+    assert list(character_table(G).chars) == numeric_character_table(G)
+
+
+@pytest.mark.parametrize("name,G", all_groups_up_to_16() + sylow_products())
+def test_split_gives_common_eigenvectors(name, G):
+    """Every vector of the split is an eigenvector mod ell of every dense
+    class matrix built from the definition, and the k vectors are
+    independent."""
+    classes, lookup = class_partition(G)
+    k = len(classes)
+    ell = chartab._dixon_prime(lcm(*(c.element_order for c in classes)), G.order)
+    vecs = chartab._split_eigenvectors(
+        chartab._class_elements(G, lookup, k), [c.representative for c in classes], lookup, ell
+    )
+    assert len(chartab._rref_mod(vecs, ell)[0]) == k
+    V = np.array(vecs, dtype=np.int64)
+    for A in class_matrices(G):
+        images = V @ np.array(A, dtype=np.int64).T % ell
+        for v, w in zip(V, images):
+            p = int(np.flatnonzero(v)[0])
+            lam = int(w[p]) * pow(int(v[p]), -1, ell) % ell
+            assert np.array_equal(w, lam * v % ell), f"not a common eigenvector for {name}"
+
+
 def test_against_numeric_oracle_wreath(pipelines):
     S = pipelines.run("S9")[1]
     T = character_table(S)
@@ -146,3 +178,45 @@ def test_value_lift_certificate(monkeypatch):
     monkeypatch.setattr(chartab, "_primitive_root", lambda ell: 1)
     with pytest.raises(CertificateError, match="multiplicit"):
         character_table(Z3)
+
+
+def _identity_matrices(elements, reps, lookup):
+    return [((m, 1),) for m in range(len(reps))]
+
+
+def _shift_after_first(real):
+    calls = []
+
+    def class_matrix(elements, reps, lookup):
+        calls.append(None)
+        if len(calls) == 1:
+            return real(elements, reps, lookup)
+        return [(((m + 1) % len(reps), 1),) for m in range(len(reps))]
+
+    return class_matrix
+
+
+@pytest.mark.parametrize(
+    "attr,patch,match",
+    [
+        # after the central class splits off the degree-2 character, a
+        # cyclic shift of the classes does not keep the 4-dim eigenspace
+        ("_class_matrix", _shift_after_first, "does not preserve an eigenspace"),
+        ("_class_matrix", lambda real: _identity_matrices, "do not split"),
+        ("_split_eigenvectors", lambda real: lambda *a: real(*a)[1:], "found 4 common eigenvectors"),
+        ("_split_eigenvectors", lambda real: lambda *a: [real(*a)[0]] * 5, "squared degrees"),
+        ("Cyclotomic", lambda real: lambda o, m: real(o, [x + (o == 1) for x in m]), "lifted degree"),
+    ],
+    ids=["eigenspace", "split", "count", "degrees", "degree"],
+)
+def test_table_certificates(monkeypatch, attr, patch, match):
+    monkeypatch.setattr(chartab, attr, patch(getattr(chartab, attr)))
+    with pytest.raises(CertificateError, match=match):
+        character_table(D8)
+
+
+def test_trivial_index_certificate():
+    T = character_table(D8)
+    rows = tuple(r for r in T.chars if any(v != 1 for v in r))
+    with pytest.raises(CertificateError, match="no trivial character"):
+        replace(T, chars=rows).trivial_index

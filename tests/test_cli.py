@@ -14,7 +14,8 @@ from fmrep.cli import (
     run_analysis,
     verify_catalog,
 )
-from fmrep.report import RunReport
+
+from .oracles import report_from_json_dict
 
 
 def run_cli(capsys, *argv):
@@ -69,7 +70,7 @@ def test_json_report_roundtrip(tmp_path, capsys):
     )
     assert code == EXIT_OK
     data = json.loads(out_file.read_text())
-    report = RunReport.from_json_dict(data)
+    report = report_from_json_dict(data)
     assert report.to_json_dict() == data
     assert report.fusion_class_count == 5
     assert len(report.atoms) == 6
@@ -136,6 +137,17 @@ def test_exit_code_failed_certificate(monkeypatch, capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == EXIT_CERTIFICATE
     assert "certificate failed: lattice rank" in err
+
+
+def test_exit_code_failed_table_certificate(monkeypatch, capsys):
+    import fmrep.chartab
+
+    # identity class matrices split no eigenspace
+    monkeypatch.setattr(fmrep.chartab, "_class_matrix",
+                        lambda elements, reps, lookup: [((m, 1),) for m in range(len(reps))])
+    code, _, err = run_cli(capsys, "run", "--group", "S4")
+    assert code == EXIT_CERTIFICATE
+    assert "certificate failed: class matrices do not split" in err
 
 
 def test_exit_code_bad_prime(capsys):

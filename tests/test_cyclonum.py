@@ -15,7 +15,7 @@ from fmrep.cyclonum import (
 )
 from fmrep.cyclonum import _reduce_mod_phi
 
-from .oracles import fraction_descent
+from .oracles import fraction_descent, galois_trace, to_complex
 
 
 def random_element(rng, n, terms=3, span=4):
@@ -86,7 +86,7 @@ def test_gauss_period_float_sanity():
     assert x == 0
     y = zeta(9, 1) + zeta(9, 8)
     target = 2 * cmath.cos(2 * cmath.pi / 9)
-    assert abs(y.to_complex() - target) < 1e-9
+    assert abs(to_complex(y) - target) < 1e-9
 
 
 def test_field_axioms_random():
@@ -125,9 +125,9 @@ def test_norm_trace_nonnegative():
     rng = random.Random(13)
     for _ in range(40):
         a = random_element(rng, rng.randrange(1, 20))
-        t = (a * a.conjugate()).trace()
+        t = galois_trace(a * a.conjugate())
         assert t >= 0
-        if not a.is_zero():
+        if a != 0:
             assert t > 0
 
 

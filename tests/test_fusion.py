@@ -48,12 +48,6 @@ def test_fusion_requires_subgroup():
         fusion_pattern(a4, sylow_subgroup(s4, 2), T)
 
 
-def test_labels_with_count_appended(pipelines):
-    F = pipelines.run("S3")[3]
-    assert F.labels_with_count() == list(F.labels) + [F.class_count]
-    assert F.labels_with_count() == [1, 2, 2, 2]
-
-
 # -- partition input ---------------------------------------------------------
 
 
@@ -111,6 +105,7 @@ def test_trivial_and_reduced_regular_always_invariant(pipelines):
 
 def test_cyclic3_invariance(pipelines):
     _, _, T, F, _, _ = pipelines.run("S3")
+    assert F.labels == (1, 2, 2)
     triv = T.trivial_index
     rho1 = [0, 0, 0]
     rho1[(triv + 1) % 3] = 1

@@ -5,13 +5,14 @@ from fmrep.intlin import (
     det,
     hermite_normal_form,
     integer_kernel,
-    is_unimodular,
     lattice_contains,
     lattices_equal,
     nonzero_rows,
     rank,
     solve_integer,
 )
+
+from .oracles import is_unimodular
 
 
 def mat_mul(A, B):

@@ -165,7 +165,7 @@ def test_sylow_nonprime_rejected():
 
 def test_sylow_certificates_survive_optimized_mode():
     """tests/test_sylow.py, tests/test_intlin.py, tests/test_repring.py,
-    the parallelepiped tests and the character-value lift certificate,
+    the parallelepiped tests and the character-table certificates,
     certificate tests included, and the conjugacy tests of this file,
     under python -O."""
     root = Path(__file__).resolve().parents[1]
@@ -175,7 +175,9 @@ def test_sylow_certificates_survive_optimized_mode():
         ["tests/test_sylow.py", "tests/test_intlin.py", "tests/test_repring.py",
          "tests/test_fimonoid.py::test_parallelepiped_points_random",
          "tests/test_fimonoid.py::test_parallelepiped_certificate",
-         "tests/test_chartab.py::test_value_lift_certificate"],
+         "tests/test_chartab.py::test_value_lift_certificate",
+         "tests/test_chartab.py::test_table_certificates",
+         "tests/test_chartab.py::test_trivial_index_certificate"],
         # -k keeps this test from running itself
         ["tests/test_permcore.py", "-k", "conjugat or fast_path or fusion or split_classes"],
     ]
