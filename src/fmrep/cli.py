@@ -1,8 +1,7 @@
 """Command-line interface and run orchestration.
 
     fmrep run --group <name|file> --prime <p> [--partition file]
-              [--mode full|fusion|lattice] [--out report.json]
-              [--conjugacy-cap N] [--allow-stretch]
+              [--mode full|fusion|lattice] [--out report.json] [--allow-stretch]
     fmrep verify [--tier fast|table|all]
     fmrep catalog list
 
@@ -85,7 +84,7 @@ def read_partition_file(path):
     except (OSError, json.JSONDecodeError) as ex:
         raise InputError(f"cannot read partition file {path}: {ex}")
     if not isinstance(data, list) or not all(
-        isinstance(block, list) and all(isinstance(i, int) for i in block)
+        isinstance(block, list) and all(type(i) is int for i in block)  # bool is an int
         for block in data
     ):
         raise InputError("partition must be a list of lists of integers")
@@ -108,8 +107,8 @@ def resolve_group(source, allow_stretch=False):
     raise InputError(f"{source!r} is neither a catalog name nor a readable file")
 
 
-def run_analysis(G, prime, mode="full", partition=None, conjugacy_cap=10**6,
-                 name="?", source="catalog", label_style=None):
+def run_analysis(G, prime, mode="full", partition=None, name="?",
+                 source="catalog", label_style=None):
     """Run the pipeline on one group and assemble the RunReport.
 
     With a partition, G itself is taken as the Sylow subgroup and the
@@ -140,7 +139,7 @@ def run_analysis(G, prime, mode="full", partition=None, conjugacy_cap=10**6,
     if partition is not None:
         pattern = fusion_from_partition(partition, table)
     else:
-        pattern = fusion_pattern(G, S, table, cap=conjugacy_cap)
+        pattern = fusion_pattern(G, S, table)
     timings["fusion"] = time.perf_counter() - t0
 
     names = None
@@ -238,7 +237,6 @@ def main(argv=None):
     p_run.add_argument("--partition", help="fusion partition file (group is taken as the Sylow subgroup)")
     p_run.add_argument("--mode", choices=["full", "fusion", "lattice"], default="full")
     p_run.add_argument("--out", help="write the full JSON report here")
-    p_run.add_argument("--conjugacy-cap", type=int, default=10**6)
     p_run.add_argument("--allow-stretch", action="store_true")
     p_run.add_argument("--timings", action="store_true", help="append timings to the text output")
 
@@ -284,9 +282,8 @@ def main(argv=None):
         partition = read_partition_file(args.partition) if args.partition else None
         label_style = cat.CATALOG[name].label_style if kind == "catalog" else None
         report = run_analysis(
-            G, prime, mode=args.mode, partition=partition,
-            conjugacy_cap=args.conjugacy_cap, name=name, source=kind,
-            label_style=label_style,
+            G, prime, mode=args.mode, partition=partition, name=name,
+            source=kind, label_style=label_style,
         )
     except (InputError, InvalidPartition) as ex:
         print(f"input error: {ex}", file=sys.stderr)
@@ -300,9 +297,13 @@ def main(argv=None):
 
     sys.stdout.write(report.to_text(include_timings=args.timings))
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(report.to_json_dict(), indent=1, sort_keys=True) + "\n"
-        )
+        try:
+            Path(args.out).write_text(
+                json.dumps(report.to_json_dict(), indent=1, sort_keys=True) + "\n"
+            )
+        except OSError as ex:
+            print(f"input error: cannot write report {args.out}: {ex}", file=sys.stderr)
+            return EXIT_INPUT
     return EXIT_OK
 
 

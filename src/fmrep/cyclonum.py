@@ -19,6 +19,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .intlin import solve_integer
+from .permcore import CertificateError
 
 __all__ = [
     "Cyclotomic",
@@ -74,11 +75,13 @@ def _poly_div_exact(num, den):
     out = [0] * (len(num) - len(den) + 1)
     for i in range(len(out) - 1, -1, -1):
         c, r = divmod(num[i + len(den) - 1], den[-1])
-        assert r == 0
+        if r:
+            raise CertificateError(f"{den} does not divide {num} over Z")
         out[i] = c
         for j, dj in enumerate(den):
             num[i + j] -= c * dj
-    assert not any(num)
+    if any(num):
+        raise CertificateError(f"division by {den} leaves remainder {num}")
     return out
 
 
@@ -147,7 +150,8 @@ class Cyclotomic:
 
     def _lift(self, n):
         """Coefficient list of self over the power basis of zeta_n."""
-        assert n % self.n == 0
+        if n % self.n:
+            raise CertificateError(f"zeta_{self.n} does not lie in Q(zeta_{n})")
         if n == self.n:
             return list(self.coeffs)
         step = n // self.n

@@ -35,11 +35,10 @@ from .intlin import (
     adjugate,
     hermite_normal_form,
     integer_kernel,
-    lattices_equal,
     nonzero_rows,
     rank,
-    solve_integer,
 )
+from .intlin import solve_integer  # noqa: F401  (traced by perfbench/bench_trace.py)
 from .permcore import CapExceeded, CertificateError
 from .repring import RepLattice
 
@@ -96,7 +95,8 @@ def extreme_rays(constraints, d):
             init.append(j)
             if len(init) == d:
                 break
-    assert len(init) == d, "constraints do not span: cone not pointed"
+    if len(init) != d:
+        raise CertificateError("constraints do not span: cone not pointed")
     A = [[constraints[j][i] for j in init] for i in range(d)]  # columns = chosen constraints
     det, adj = adjugate(A)
     # adj * A = det * I: row i of sign(det) * adj meets constraint i
@@ -134,7 +134,8 @@ def extreme_rays(constraints, d):
         processed.append(j)
     rays = sorted(set(map(tuple, rays)))
     for r in rays:
-        assert all(_dot(r, c) >= 0 for c in constraints)
+        if any(_dot(r, c) < 0 for c in constraints):
+            raise CertificateError(f"ray {r} is infeasible: it violates a constraint")
     return rays
 
 
@@ -175,7 +176,8 @@ def _triangulate_cone(rays, constraints, d):
         return tuple(out)
 
     top = frozenset(range(len(ray_list)))
-    assert face_rank(top) == d, "cone is not full-dimensional"
+    if face_rank(top) != d:
+        raise CertificateError("cone is not full-dimensional")
     return list(triangulate(top, d))
 
 
@@ -188,7 +190,8 @@ def _parallelepiped_points(gens):
     """
     d = len(gens)
     H = nonzero_rows(hermite_normal_form([list(g) for g in gens])[0])
-    assert len(H) == d
+    if len(H) != d:
+        raise CertificateError(f"simplex generators {gens} are dependent")
     diag = [H[i][i] for i in range(d)]
     if all(x == 1 for x in diag):
         return []
@@ -235,7 +238,8 @@ def atoms_hilbert(lattice: RepLattice, degrees):
     if d > RANK_CAP or r > IRR_CAP:
         raise CapExceeded(f"rank {d} x irreducibles {r} beyond caps ({RANK_CAP}, {IRR_CAP})")
     B = [list(row) for row in lattice.basis]
-    assert rank(B) == d, "lattice basis is not full rank; cone not pointed"
+    if rank(B) != d:
+        raise CertificateError("lattice basis is not full rank; cone not pointed")
     constraints = [tuple(B[i][j] for i in range(d)) for j in range(r)]
     rays = extreme_rays(constraints, d)
     simplices = _triangulate_cone(rays, constraints, d)
@@ -251,7 +255,8 @@ def _reduce_candidates(xs, lattice, degrees):
     items = []
     for x in xs:
         v = lattice.to_multiplicities(x)
-        assert all(c >= 0 for c in v)
+        if any(c < 0 for c in v):
+            raise CertificateError(f"candidate {v} is not a genuine representation")
         if any(v) and v not in seen:
             seen.add(v)
             items.append(v)
@@ -264,11 +269,6 @@ def _reduce_candidates(xs, lattice, degrees):
 
 
 # ----------------------------------------------------- verdicts, witnesses
-
-
-def _atom_relations(atoms):
-    """Canonical basis of the integer relation lattice of the atoms."""
-    return integer_kernel([list(a) for a in atoms])
 
 
 def _pick_relation(rows, want_nonzero_sum=False):
@@ -289,7 +289,8 @@ def _witness_from_relation(relation, atoms):
                 element[j] += n * atoms[i][j]
         elif n < 0:
             decomp_b.extend([i] * (-n))
-    assert decomp_a and decomp_b
+    if not (decomp_a and decomp_b):
+        raise CertificateError(f"relation {relation} is not a split relation")
     return FactorizationWitness(
         element=tuple(element),
         decomp_a=tuple(sorted(decomp_a)),
@@ -297,20 +298,23 @@ def _witness_from_relation(relation, atoms):
     )
 
 
-def factoriality(atoms, lattice: RepLattice):
-    """(is_factorial, witness): factorial iff #atoms equals the rank."""
+def factoriality(atoms, lattice: RepLattice, relations):
+    """(is_factorial, witness): factorial iff #atoms equals the rank.
+
+    `relations` is the canonical basis of the relation lattice of the
+    atoms, as computed in analyze.
+    """
     if len(atoms) == lattice.rank:
         return True, None
-    relations = _atom_relations(atoms)
     relation = _pick_relation(relations)
-    assert relation is not None
+    if relation is None:
+        raise CertificateError(f"{len(atoms)} atoms in rank {lattice.rank} without a relation")
     return False, _witness_from_relation(relation, atoms)
 
 
-def half_factoriality(atoms, lattice: RepLattice):
+def half_factoriality(atoms, relations):
     """(is_half_factorial, witness): half-factorial iff every atom
-    relation has coefficient sum zero."""
-    relations = _atom_relations(atoms)
+    relation (see factoriality) has coefficient sum zero."""
     if all(sum(r) == 0 for r in relations):
         return True, None
     relation = _pick_relation(relations, want_nonzero_sum=True)
@@ -329,10 +333,13 @@ def check_regular_conjecture(atoms, table: CharacterTable) -> bool:
 
 def analyze(lattice: RepLattice, table: CharacterTable, pattern: FusionPattern) -> MonoidAnalysis:
     atoms = atoms_hilbert(lattice, table.degrees)
-    assert len(atoms) >= lattice.rank
-    fact, fact_wit = factoriality(atoms, lattice)
-    half, half_wit = half_factoriality(atoms, lattice)
-    assert not (fact and not half)
+    if len(atoms) < lattice.rank:
+        raise CertificateError(f"{len(atoms)} atoms cannot generate a lattice of rank {lattice.rank}")
+    relations = integer_kernel([list(a) for a in atoms])
+    fact, fact_wit = factoriality(atoms, lattice, relations)
+    half, half_wit = half_factoriality(atoms, relations)
+    if fact and not half:
+        raise CertificateError("factorial but not half-factorial")
     return MonoidAnalysis(
         lattice=lattice,
         atoms=tuple(atoms),
@@ -343,75 +350,3 @@ def analyze(lattice: RepLattice, table: CharacterTable, pattern: FusionPattern) 
         regular_conjecture_holds=check_regular_conjecture(atoms, table),
         transitive=is_transitive(pattern),
     )
-
-
-# ------------------------------------------------------- basis criteria
-
-
-class NotALatticeBasis(ValueError):
-    pass
-
-
-def _require_basis(basis, lattice: RepLattice):
-    rows = [list(b) for b in basis]
-    if len(rows) != lattice.rank or not lattices_equal(rows, [list(r) for r in lattice.basis]):
-        raise NotALatticeBasis("rows do not form a basis of the lattice")
-
-
-def _require_genuine_basis(basis, lattice: RepLattice):
-    _require_basis(basis, lattice)
-    if any(min(b) < 0 for b in basis):
-        raise NotALatticeBasis("basis members must be genuine (nonnegative) representations")
-
-
-def _has_private_constituent(j, basis) -> bool:
-    support = {c for c, m in enumerate(basis[j]) if m}
-    for i, b in enumerate(basis):
-        if i != j:
-            support -= {c for c, m in enumerate(b) if m}
-    return bool(support)
-
-
-def check_private_irreducible_basis(basis, lattice: RepLattice) -> bool:
-    """Each basis member owns a constituent appearing in no other member.
-
-    A passing nonnegative basis certifies factoriality and is then
-    exactly the atom set.
-    """
-    _require_genuine_basis(basis, lattice)
-    return all(_has_private_constituent(j, basis) for j in range(len(basis)))
-
-
-def certify_irreducible(j, basis, lattice: RepLattice) -> bool:
-    """Whether basis[j] has a constituent absent from every other member."""
-    _require_genuine_basis(basis, lattice)
-    return _has_private_constituent(j, basis)
-
-
-def check_disjoint_basis(basis, lattice: RepLattice) -> bool:
-    """Pairwise-disjoint supports; a passing basis certifies factoriality."""
-    _require_basis(basis, lattice)
-    seen = set()
-    for b in basis:
-        supp = {c for c, m in enumerate(b) if m}
-        if supp & seen:
-            return False
-        seen |= supp
-    return True
-
-
-def check_convex_basis(basis, atoms) -> bool:
-    """Every atom an integral combination of the basis with coefficient
-    sum one; a passing basis certifies half-factoriality.
-
-    The integral combination is not required to be nonnegative: only
-    the sum condition enters the certificate.
-    """
-    rows = [list(b) for b in basis]
-    if not lattices_equal(rows, [list(a) for a in atoms]):
-        raise NotALatticeBasis("rows do not form a basis of the lattice spanned by the atoms")
-    for a in atoms:
-        lam = solve_integer(rows, list(a))
-        if lam is None or sum(lam) != 1:
-            return False
-    return True

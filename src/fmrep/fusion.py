@@ -78,7 +78,7 @@ def _validate(labels, table: CharacterTable):
         raise InvalidPartition("identity class fused with a non-identity class")
 
 
-def fusion_pattern(G: PermGroup, S: PermGroup, table: CharacterTable, cap=10**6) -> FusionPattern:
+def fusion_pattern(G: PermGroup, S: PermGroup, table: CharacterTable) -> FusionPattern:
     """Fusion of the S-classes under conjugacy in G.
 
     Labels agree in two positions exactly when the class representatives
@@ -90,7 +90,7 @@ def fusion_pattern(G: PermGroup, S: PermGroup, table: CharacterTable, cap=10**6)
         if g not in G:
             raise ValueError("S is not a subgroup of G (generator fails membership)")
     reps = [c.representative for c in table.classes]
-    labels = _canonical_labels(fuse_by_conjugacy(G, reps, cap=cap))
+    labels = _canonical_labels(fuse_by_conjugacy(G, reps))
     _validate(labels, table)
     return FusionPattern(labels=labels, class_count=max(labels))
 

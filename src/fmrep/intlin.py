@@ -117,13 +117,6 @@ def lattice_contains(basis_rows, v):
     return solve_integer(basis_rows, v) is not None
 
 
-def lattices_equal(rows_a, rows_b):
-    """Whether two row sets span the same integer lattice."""
-    Ha = nonzero_rows(hermite_normal_form(rows_a)[0]) if rows_a else []
-    Hb = nonzero_rows(hermite_normal_form(rows_b)[0]) if rows_b else []
-    return Ha == Hb
-
-
 def _echelon(A):
     """Fraction-free (Bareiss) row echelon of A.
 

@@ -21,7 +21,7 @@ Perm = tuple
 
 
 class CapExceeded(Exception):
-    """A configured enumeration cap was hit; the result is undecided."""
+    """An enumeration cap was hit; the result is undecided."""
 
 
 class CertificateError(RuntimeError):
@@ -342,26 +342,15 @@ def trivial_group(degree):
     return PermGroup([], degree)
 
 
-def closure(elements, gens, limit=10**6):
-    """Set-closure of `elements` under right multiplication by `gens`."""
-    out = set(elements)
-    queue = list(elements)
-    for x in queue:
-        for g in gens:
-            y = mul(x, g)
-            if y not in out:
-                if len(out) >= limit:
-                    raise CapExceeded("closure cap exceeded")
-                out.add(y)
-                queue.append(y)
-    return out
-
-
 # -- Sylow subgroups ------------------------------------------------------
 
 
 # Most elements sylow_subgroup will stream (about 5x |S9|).
 SYLOW_STREAM_CAP = 2 * 10**6
+# Largest conjugation orbit a fusion decision walks.
+CONJUGACY_CAP = 10**6
+# Largest group whose classes class_partition enumerates.
+CLASS_CAP = 10**5
 
 
 def is_prime(n):
@@ -433,19 +422,20 @@ def sylow_subgroup(G, p):
     pelems = sorted(orders)
     start = min(pelems, key=lambda x: -orders[x])
     gens = [start]
-    pset = closure({ident, start}, gens)
-    while len(pset) < target:
+    S = group_from_generators(gens, G.degree)
+    pset = set(S.elements())
+    while S.order < target:
         for x in pelems:
             if x in pset:
                 continue
             x_inv = _left(inverse(x))
             if all(x_inv(mul(s, x)) in pset for s in gens):
                 gens.append(x)
-                pset = closure(pset | {x}, gens)
+                S = group_from_generators(gens, G.degree)
+                pset = set(S.elements())
                 break
         else:
             raise CertificateError("Sylow growth stalled; group data inconsistent")
-    S = group_from_generators(gens, G.degree)
     if S.order != target:
         raise CertificateError(f"Sylow candidate has order {S.order}, not {target}")
     return S
@@ -461,11 +451,12 @@ class ConjClass:
     element_order: int
 
 
-def conjugation_orbit(x, gens, cap=10**6, targets=None):
+def conjugation_orbit(x, gens, targets=None):
     """Orbit of x under conjugation by a generator list.
 
     Stops early once every element of `targets` has been seen.  Raises
-    CapExceeded when the orbit grows past `cap` (result undecided).
+    CapExceeded when the orbit grows past CONJUGACY_CAP (result
+    undecided).
     """
     orbit = {x}
     queue = [x]
@@ -478,8 +469,8 @@ def conjugation_orbit(x, gens, cap=10**6, targets=None):
         for g_inv, g in conj:
             z = g_inv(y_left(g))
             if z not in orbit:
-                if len(orbit) >= cap:
-                    raise CapExceeded(f"conjugation orbit cap {cap} exceeded")
+                if len(orbit) >= CONJUGACY_CAP:
+                    raise CapExceeded(f"conjugation orbit cap {CONJUGACY_CAP} exceeded")
                 orbit.add(z)
                 queue.append(z)
                 if waiting is not None:
@@ -489,35 +480,24 @@ def conjugation_orbit(x, gens, cap=10**6, targets=None):
     return orbit
 
 
-def _class_orbits(S, cap):
-    """(ConjClass, orbit) pairs of S by full element enumeration, in the
-    canonical class order."""
-    if S.order > cap:
-        raise CapExceeded(f"group order {S.order} exceeds class enumeration cap {cap}")
-    remaining = set(S.elements())
-    out = []
-    for x in sorted(remaining):
-        if x in remaining:
-            orbit = conjugation_orbit(x, S.generators, cap=cap)
-            remaining -= orbit
-            out.append((ConjClass(representative=x, size=len(orbit), element_order=perm_order(x)), orbit))
-    out.sort(key=lambda co: (co[0].element_order, co[0].size, co[0].representative))
-    return out
-
-
-def conjugacy_classes(S, cap=10**5):
-    """Conjugacy classes of S by full element enumeration.
+def class_partition(S):
+    """Conjugacy classes of S by full element enumeration, as (classes,
+    element -> class index).
 
     Classes are ordered canonically: by element order, then class size,
     then lexicographically minimal representative (so the identity class
-    is always first).
+    is always first).  Raises CapExceeded when |S| > CLASS_CAP.
     """
-    return [c for c, _ in _class_orbits(S, cap)]
-
-
-def class_partition(S, cap=10**5):
-    """Same classes as conjugacy_classes, returned as (classes, element->index)."""
-    orbits = _class_orbits(S, cap)
+    if S.order > CLASS_CAP:
+        raise CapExceeded(f"group order {S.order} exceeds class enumeration cap {CLASS_CAP}")
+    remaining = set(S.elements())
+    orbits = []
+    for x in sorted(remaining):
+        if x in remaining:
+            orbit = conjugation_orbit(x, S.generators)
+            remaining -= orbit
+            orbits.append((ConjClass(representative=x, size=len(orbit), element_order=perm_order(x)), orbit))
+    orbits.sort(key=lambda co: (co[0].element_order, co[0].size, co[0].representative))
     lookup = {y: idx for idx, (_, orbit) in enumerate(orbits) for y in orbit}
     return [c for c, _ in orbits], lookup
 
@@ -546,14 +526,15 @@ def _alternating_conjugate(x, y, points):
     return _parity(s) == 0
 
 
-def _conjugates_among(G, x, ys, cap):
+def _conjugates_among(G, x, ys):
     """The members of ys that are conjugate to x in G.
 
     Candidates of another cycle type drop out first.  When x and every
     candidate fix each point that G fixes, the full symmetric group on
     the moved points keeps all of them and the alternating group decides
     by _alternating_conjugate; otherwise one conjugation-orbit walk of x,
-    capped (CapExceeded means undecided), stops once all are seen.
+    capped at CONJUGACY_CAP (CapExceeded means undecided), stops once
+    all are seen.
     """
     ctype = cycle_lengths(x)
     ys = [y for y in ys if cycle_lengths(y) == ctype]
@@ -566,19 +547,19 @@ def _conjugates_among(G, x, ys, cap):
             return ys
         if G.is_natural_alternating():
             return [y for y in ys if _alternating_conjugate(x, y, moved)]
-    orbit = conjugation_orbit(x, G.generators, cap=cap, targets=ys)
+    orbit = conjugation_orbit(x, G.generators, targets=ys)
     return [y for y in ys if y in orbit]
 
 
-def is_conjugate(G, x, y, cap=10**6):
+def is_conjugate(G, x, y):
     """Whether x and y are conjugate in G (see _conjugates_among)."""
     x, y = tuple(x), tuple(y)
     if len(x) != G.degree or len(y) != G.degree:
         raise ValueError("degree mismatch")
-    return bool(_conjugates_among(G, x, [y], cap))
+    return bool(_conjugates_among(G, x, [y]))
 
 
-def fuse_by_conjugacy(G, reps, cap=10**6):
+def fuse_by_conjugacy(G, reps):
     """Partition `reps` by G-conjugacy; returns a list of group labels 0..k-1.
 
     Each representative not yet labelled decides, in one call of
@@ -590,7 +571,7 @@ def fuse_by_conjugacy(G, reps, cap=10**6):
         if labels[i] is not None:
             continue
         rest = [j for j in range(i + 1, len(reps)) if labels[j] is None]
-        matched = set(_conjugates_among(G, x, [reps[j] for j in rest], cap))
+        matched = set(_conjugates_among(G, x, [reps[j] for j in rest]))
         labels[i] = next_label
         for j in rest:
             if reps[j] in matched:

@@ -31,8 +31,14 @@ The descent oracle finds the minimal conductor of a cyclotomic number
 by Gauss-Jordan elimination over Fraction, independently of the
 integer solve in fmrep.cyclonum.
 
-to_complex, galois_trace, is_unimodular and report_from_json_dict are
-helpers that only the tests need.
+The basis criteria of the paper decide from one lattice basis of
+nonnegative representations: private constituents or disjoint supports
+certify factoriality (and the basis is then the atom set), and
+coefficient sum one certifies half-factoriality.  fmrep.fimonoid never
+uses them; the tests hold its verdicts against them.
+
+to_complex, galois_trace, is_unimodular, lattices_equal and
+report_from_json_dict are helpers that only the tests need.
 """
 
 import cmath
@@ -42,10 +48,9 @@ from math import gcd
 import numpy as np
 
 from fmrep.cyclonum import _descent_matrix, from_rational, prime_divisors, zeta
-from fmrep.intlin import det
+from fmrep.intlin import det, hermite_normal_form, nonzero_rows, solve_integer
 from fmrep.permcore import (
     class_partition,
-    closure,
     conjugate,
     cycle_lengths,
     group_from_generators,
@@ -271,15 +276,15 @@ def full_scan_sylow(G, p):
     pelems = sorted(x for x in G.elements() if x != ident and is_p_element(x, p))
     start = max(pelems, key=lambda x: (perm_order(x), [-i for i in x]))
     gens = [start]
-    pset = closure({ident, start}, gens)
-    while len(pset) < target:
+    S = group_from_generators(gens, G.degree)
+    while S.order < target:
+        pset = set(S.elements())
         x = next(
             x for x in pelems
             if x not in pset and all(conjugate(s, x) in pset for s in gens)
         )
         gens.append(x)
-        pset = closure(pset | {x}, gens)
-    S = group_from_generators(gens, G.degree)
+        S = group_from_generators(gens, G.degree)
     assert S.order == target
     return S
 
@@ -434,3 +439,79 @@ def report_from_json_dict(data):
     if data.get("fusion_labels") is not None:
         data["fusion_labels"] = list(data["fusion_labels"])
     return RunReport(**data)
+
+
+def lattices_equal(rows_a, rows_b):
+    """Whether two row sets span the same integer lattice."""
+    Ha = nonzero_rows(hermite_normal_form(rows_a)[0]) if rows_a else []
+    Hb = nonzero_rows(hermite_normal_form(rows_b)[0]) if rows_b else []
+    return Ha == Hb
+
+
+class NotALatticeBasis(ValueError):
+    pass
+
+
+def _require_basis(basis, lattice):
+    rows = [list(b) for b in basis]
+    if len(rows) != lattice.rank or not lattices_equal(rows, [list(r) for r in lattice.basis]):
+        raise NotALatticeBasis("rows do not form a basis of the lattice")
+
+
+def _require_genuine_basis(basis, lattice):
+    _require_basis(basis, lattice)
+    if any(min(b) < 0 for b in basis):
+        raise NotALatticeBasis("basis members must be genuine (nonnegative) representations")
+
+
+def _has_private_constituent(j, basis):
+    support = {c for c, m in enumerate(basis[j]) if m}
+    for i, b in enumerate(basis):
+        if i != j:
+            support -= {c for c, m in enumerate(b) if m}
+    return bool(support)
+
+
+def check_private_irreducible_basis(basis, lattice):
+    """Each basis member owns a constituent appearing in no other member.
+
+    A passing nonnegative basis certifies factoriality and is then
+    exactly the atom set.
+    """
+    _require_genuine_basis(basis, lattice)
+    return all(_has_private_constituent(j, basis) for j in range(len(basis)))
+
+
+def certify_irreducible(j, basis, lattice):
+    """Whether basis[j] has a constituent absent from every other member."""
+    _require_genuine_basis(basis, lattice)
+    return _has_private_constituent(j, basis)
+
+
+def check_disjoint_basis(basis, lattice):
+    """Pairwise-disjoint supports; a passing basis certifies factoriality."""
+    _require_basis(basis, lattice)
+    seen = set()
+    for b in basis:
+        supp = {c for c, m in enumerate(b) if m}
+        if supp & seen:
+            return False
+        seen |= supp
+    return True
+
+
+def check_convex_basis(basis, atoms):
+    """Every atom an integral combination of the basis with coefficient
+    sum one; a passing basis certifies half-factoriality.
+
+    The integral combination is not required to be nonnegative: only
+    the sum condition enters the certificate.
+    """
+    rows = [list(b) for b in basis]
+    if not lattices_equal(rows, [list(a) for a in atoms]):
+        raise NotALatticeBasis("rows do not form a basis of the lattice spanned by the atoms")
+    for a in atoms:
+        lam = solve_integer(rows, list(a))
+        if lam is None or sum(lam) != 1:
+            return False
+    return True

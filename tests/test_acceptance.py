@@ -17,7 +17,6 @@ from fmrep.cli import run_analysis
 from fmrep.fimonoid import (
     analyze,
     atoms_hilbert,
-    check_disjoint_basis,
     check_regular_conjecture,
 )
 from fmrep.fusion import fusion_from_partition, fusion_pattern
@@ -26,6 +25,7 @@ from fmrep.repring import rep_lattice
 
 from .oracles import (
     atoms_bounded_search,
+    check_disjoint_basis,
     factorization_lengths,
     inner_product,
     monoid_elements_up_to_dimension,

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from fmrep import catalog
+from fmrep import catalog, permcore
 from fmrep.cli import (
     EXIT_CAP,
     EXIT_CERTIFICATE,
@@ -219,12 +219,34 @@ def test_partition_requires_p_group(tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
-def test_exit_code_conjugacy_cap(capsys):
-    code, _, err = run_cli(
-        capsys, "run", "--group", "M10", "--conjugacy-cap", "1"
-    )
+def test_exit_code_conjugacy_cap(monkeypatch, capsys):
+    # |S| = 16 keeps the class walks of S under the cap, so it fires in
+    # the fusion walks in M10
+    monkeypatch.setattr(permcore, "CONJUGACY_CAP", 16)
+    code, _, err = run_cli(capsys, "run", "--group", "M10")
     assert code == EXIT_CAP
-    assert "cap exceeded" in err
+    assert "cap exceeded: conjugation orbit cap 16 exceeded" in err
+
+
+def test_exit_code_report_into_missing_directory(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    code, _, err = run_cli(capsys, "run", "--group", "S3", "--out", str(out))
+    assert code == EXIT_INPUT
+    assert f"input error: cannot write report {out}" in err
+    assert not out.exists()
+
+
+def test_exit_code_boolean_class_index(tmp_path, capsys):
+    group = tmp_path / "c2.txt"
+    group.write_text("(1,2)\n")
+    part = tmp_path / "partition.json"
+    part.write_text("[[true],[2]]")
+    code, out, err = run_cli(
+        capsys, "run", "--group", str(group), "--prime", "2", "--partition", str(part)
+    )
+    assert code == EXIT_INPUT
+    assert "partition must be a list of lists of integers" in err
+    assert out == ""
 
 
 def test_catalog_list(capsys):

@@ -10,25 +10,30 @@ from fmrep.chartab import character_table
 from fmrep.fimonoid import (
     analyze,
     atoms_hilbert,
-    check_convex_basis,
-    check_disjoint_basis,
-    check_private_irreducible_basis,
-    certify_irreducible,
     extreme_rays,
     factoriality,
     half_factoriality,
     is_transitive,
     check_regular_conjecture,
-    NotALatticeBasis,
     _parallelepiped_points,
     _triangulate_cone,
 )
 from fmrep.fusion import discrete_pattern, fusion_from_partition
-from fmrep.intlin import det
+from fmrep.intlin import det, integer_kernel
 from fmrep.permcore import CapExceeded, CertificateError
 from fmrep.repring import RepLattice, rep_lattice
 
-from .oracles import BudgetExceeded, _lattice_points_in_box, atoms_bounded_search, solve_rational
+from .oracles import (
+    BudgetExceeded,
+    NotALatticeBasis,
+    _lattice_points_in_box,
+    atoms_bounded_search,
+    certify_irreducible,
+    check_convex_basis,
+    check_disjoint_basis,
+    check_private_irreducible_basis,
+    solve_rational,
+)
 
 
 def _unit(r, *idxs):
@@ -99,6 +104,53 @@ def test_parallelepiped_certificate(monkeypatch):
     monkeypatch.setattr(fmrep.fimonoid, "adjugate", doubled)
     with pytest.raises(CertificateError, match="not integral"):
         _parallelepiped_points([(2, 1), (0, 1)])
+
+
+def test_ray_feasibility_certificate(monkeypatch):
+    """A determinant of the wrong sign flips the initial rays off the
+    constraints that chose them."""
+    real = fmrep.fimonoid.adjugate
+
+    def wrong_sign(A):
+        d, adj = real(A)
+        return -d, adj
+
+    monkeypatch.setattr(fmrep.fimonoid, "adjugate", wrong_sign)
+    with pytest.raises(CertificateError, match="infeasible"):
+        extreme_rays([(1, 0), (0, 1)], 2)
+
+
+@pytest.mark.parametrize("stage", ["lattice", "rays", "triangulation"])
+def test_pointed_cone_certificates(monkeypatch, stage):
+    """With every rank read one too low, each check that the cone is
+    pointed and full-dimensional fires."""
+    lattice = RepLattice(irr_count=2, rank=2, basis=((1, 1), (0, 2)))
+    constraints = [(1, 0), (1, 2)]  # the columns of the basis
+    rays = extreme_rays(constraints, 2)
+    real = fmrep.fimonoid.rank
+    monkeypatch.setattr(fmrep.fimonoid, "rank", lambda rows: real(rows) - 1)
+    runs = {
+        "lattice": lambda: atoms_hilbert(lattice, (1, 1)),
+        "rays": lambda: extreme_rays(constraints, 2),
+        "triangulation": lambda: _triangulate_cone(rays, constraints, 2),
+    }
+    with pytest.raises(CertificateError, match="not pointed|not full-dimensional"):
+        runs[stage]()
+
+
+def test_atom_count_certificate(monkeypatch, pipelines):
+    _, _, T, F, L, _ = pipelines.run("S4")
+    real = fmrep.fimonoid.atoms_hilbert
+    monkeypatch.setattr(fmrep.fimonoid, "atoms_hilbert", lambda lat, deg: real(lat, deg)[:-1])
+    with pytest.raises(CertificateError, match="3 atoms cannot generate a lattice of rank 4"):
+        analyze(L, T, F)
+
+
+def test_factorial_implies_half_factorial_certificate(monkeypatch, pipelines):
+    _, _, T, F, L, _ = pipelines.run("S4")
+    monkeypatch.setattr(fmrep.fimonoid, "half_factoriality", lambda atoms, relations: (False, None))
+    with pytest.raises(CertificateError, match="factorial but not half-factorial"):
+        analyze(L, T, F)
 
 
 def test_hilbert_basis_unimodular_lattice_is_free():
@@ -254,6 +306,10 @@ def test_rank_cap():
 # -- verdicts and witnesses ---------------------------------------------------------
 
 
+def _relations(atoms):
+    return integer_kernel([list(a) for a in atoms])
+
+
 def _check_witness(w, atoms, expect_unequal=False):
     def total(idxs):
         out = [0] * len(atoms[0])
@@ -270,7 +326,7 @@ def _check_witness(w, atoms, expect_unequal=False):
 
 def test_factoriality_witness_sigma9(pipelines):
     _, _, T, F, L, A = pipelines.run("S9")
-    ok, witness = factoriality(A.atoms, L)
+    ok, witness = factoriality(A.atoms, L, _relations(A.atoms))
     assert not ok
     _check_witness(witness, A.atoms)
     assert witness.lengths == (2, 2)
@@ -278,7 +334,7 @@ def test_factoriality_witness_sigma9(pipelines):
 
 def test_half_factoriality_witness_sigma6(pipelines):
     _, _, T, F, L, A = pipelines.run("S6")
-    ok, witness = half_factoriality(A.atoms, L)
+    ok, witness = half_factoriality(A.atoms, _relations(A.atoms))
     assert not ok
     _check_witness(witness, A.atoms, expect_unequal=True)
     assert sorted(witness.lengths) == [2, 3]
@@ -308,9 +364,9 @@ def test_alpha7_is_relation_derived(pipelines):
 def test_factorial_cases_have_no_witness(pipelines):
     for name in ("S3", "S4", "A6", "SL2_3", "D8", "Q8"):
         _, _, T, F, L, A = pipelines.run(name)
-        ok, witness = factoriality(A.atoms, L)
+        ok, witness = factoriality(A.atoms, L, _relations(A.atoms))
         assert ok and witness is None
-        ok, witness = half_factoriality(A.atoms, L)
+        ok, witness = half_factoriality(A.atoms, _relations(A.atoms))
         assert ok and witness is None
 
 
@@ -457,3 +513,23 @@ def test_private_basis_certifies_factoriality(pipelines):
     # and a factorial case where the certificate fires
     _, _, _, _, L4, A4 = pipelines.run("S4")
     assert check_private_irreducible_basis(A4.atoms, L4) and A4.factorial
+
+
+def test_private_hnf_basis_is_the_atom_set(pipelines):
+    """The criterion as an oracle on the pipeline's own basis: whenever
+    the HNF basis of the lattice has private constituents, the run is
+    factorial and its atoms are that basis."""
+    certified = []
+    for name, entry in CATALOG.items():
+        if entry.tier not in ("fast", "table"):
+            continue
+        _, _, _, _, L, A = pipelines.run(name)
+        try:
+            if not check_private_irreducible_basis(L.basis, L):
+                continue
+        except NotALatticeBasis:  # a row with a negative entry: no verdict
+            continue
+        assert A.factorial, name
+        assert set(A.atoms) == set(L.basis), name
+        certified.append(name)
+    assert certified

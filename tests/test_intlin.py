@@ -6,13 +6,12 @@ from fmrep.intlin import (
     hermite_normal_form,
     integer_kernel,
     lattice_contains,
-    lattices_equal,
     nonzero_rows,
     rank,
     solve_integer,
 )
 
-from .oracles import is_unimodular
+from .oracles import is_unimodular, lattices_equal
 
 
 def mat_mul(A, B):

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from fmrep import permcore
 from fmrep.catalog import CATALOG, load_group
 from fmrep.permcore import (
     CapExceeded,
-    conjugacy_classes,
+    class_partition,
     conjugate,
     conjugation_orbit,
     cycle_lengths,
@@ -165,9 +166,9 @@ def test_sylow_nonprime_rejected():
 
 def test_sylow_certificates_survive_optimized_mode():
     """tests/test_sylow.py, tests/test_intlin.py, tests/test_repring.py,
-    the parallelepiped tests and the character-table certificates,
-    certificate tests included, and the conjugacy tests of this file,
-    under python -O."""
+    the parallelepiped tests, the character-table and monoid
+    certificates, certificate tests included, and the conjugacy tests
+    of this file, under python -O."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
@@ -177,7 +178,11 @@ def test_sylow_certificates_survive_optimized_mode():
          "tests/test_fimonoid.py::test_parallelepiped_certificate",
          "tests/test_chartab.py::test_value_lift_certificate",
          "tests/test_chartab.py::test_table_certificates",
-         "tests/test_chartab.py::test_trivial_index_certificate"],
+         "tests/test_chartab.py::test_trivial_index_certificate",
+         "tests/test_fimonoid.py::test_ray_feasibility_certificate",
+         "tests/test_fimonoid.py::test_pointed_cone_certificates",
+         "tests/test_fimonoid.py::test_atom_count_certificate",
+         "tests/test_fimonoid.py::test_factorial_implies_half_factorial_certificate"],
         # -k keeps this test from running itself
         ["tests/test_permcore.py", "-k", "conjugat or fast_path or fusion or split_classes"],
     ]
@@ -213,23 +218,23 @@ def test_sylow_order_is_p_part(name, pipelines):
 
 def test_classes_cyclic3():
     z3 = group_from_generators([parse_perm("(1,2,3)", 3)])
-    classes = conjugacy_classes(z3)
+    classes = class_partition(z3)[0]
     assert [c.size for c in classes] == [1, 1, 1]
 
 
 def test_classes_d8():
-    classes = conjugacy_classes(sylow_subgroup(S(4), 2))
+    classes = class_partition(sylow_subgroup(S(4), 2))[0]
     assert len(classes) == 5
 
 
 def test_classes_sylow2_sigma6():
-    classes = conjugacy_classes(sylow_subgroup(S(6), 2))
+    classes = class_partition(sylow_subgroup(S(6), 2))[0]
     assert len(classes) == 10
 
 
 def test_classes_partition_and_canonical_order():
     syl = sylow_subgroup(S(6), 2)
-    classes = conjugacy_classes(syl)
+    classes = class_partition(syl)[0]
     assert sum(c.size for c in classes) == syl.order
     assert all(syl.order % c.size == 0 for c in classes)
     assert classes[0].representative == identity(6)
@@ -249,9 +254,10 @@ def test_classes_partition_and_canonical_order():
         assert {perm_order(y) for y in orbit} == {c.element_order}
 
 
-def test_classes_cap():
-    with pytest.raises(CapExceeded):
-        conjugacy_classes(S(6), cap=10)
+def test_classes_cap(monkeypatch):
+    monkeypatch.setattr(permcore, "CLASS_CAP", 10)
+    with pytest.raises(CapExceeded, match="class enumeration cap 10"):
+        class_partition(S(6))
 
 
 # -- conjugacy testing -------------------------------------------------------
@@ -270,7 +276,7 @@ def test_different_orders_never_conjugate():
 def test_d8_fusion_in_sigma4():
     s4 = S(4)
     d8 = sylow_subgroup(s4, 2)
-    reps = [c.representative for c in conjugacy_classes(d8)]
+    reps = [c.representative for c in class_partition(d8)[0]]
     labels = fuse_by_conjugacy(s4, reps)
     assert len(set(labels)) == 4
     for i, x in enumerate(reps):
@@ -281,7 +287,7 @@ def test_d8_fusion_in_sigma4():
 def test_is_conjugate_equivalence_relation():
     G = load_group("M10")
     syl = sylow_subgroup(G, 2)
-    reps = [c.representative for c in conjugacy_classes(syl)]
+    reps = [c.representative for c in class_partition(syl)[0]]
     for x in reps:
         assert is_conjugate(G, x, x)
         for y in reps:
@@ -356,14 +362,15 @@ def test_alternating_split_classes():
     assert is_conjugate(S(5), five, power(five, 2))
 
 
-def test_conjugacy_cap_exceeded():
+def test_conjugacy_cap_exceeded(monkeypatch):
     G = load_group("M10")
     x = next(g for g in G.generators if perm_order(g) > 1)
     y = next(
         conjugate(x, g) for g in G.generators if conjugate(x, g) != x
     )
-    with pytest.raises(CapExceeded):
-        is_conjugate(G, x, y, cap=1)
+    monkeypatch.setattr(permcore, "CONJUGACY_CAP", 1)
+    with pytest.raises(CapExceeded, match="orbit cap 1 exceeded"):
+        is_conjugate(G, x, y)
 
 
 @pytest.mark.parametrize("rule_group", [S, A])

@@ -5,11 +5,11 @@ import pytest
 import fmrep.repring
 from fmrep.catalog import CATALOG, traditional_labels
 from fmrep.fusion import discrete_pattern
-from fmrep.intlin import integer_kernel, lattices_equal, solve_integer
+from fmrep.intlin import integer_kernel, solve_integer
 from fmrep.permcore import CertificateError
 from fmrep.repring import difference_matrix, format_virtual, fusing_pairs, rep_lattice
 
-from .oracles import is_invariant
+from .oracles import is_invariant, lattices_equal
 
 
 def test_discrete_pattern_gives_no_rows_and_full_lattice(pipelines):

@@ -103,11 +103,12 @@ def test_stream_cap_names_stage_and_value():
 
 
 def test_order_certificate_raises(monkeypatch):
-    monkeypatch.setattr(
-        permcore, "group_from_generators", lambda gens, degree: permcore.trivial_group(degree)
-    )
-    with pytest.raises(CertificateError, match="order 1, not 8"):
-        sylow_subgroup(S(4), 2)
+    # a constructor that returns all of S4 for any generators ends the
+    # growth at once, with a subgroup of the wrong order
+    G = S(4)
+    monkeypatch.setattr(permcore, "group_from_generators", lambda gens, degree: G)
+    with pytest.raises(CertificateError, match="order 24, not 8"):
+        sylow_subgroup(G, 2)
 
 
 def test_growth_certificate_raises(monkeypatch):

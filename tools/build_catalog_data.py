@@ -19,7 +19,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fmrep.permcore import (
     PermGroup,
-    conjugacy_classes,
     format_perm,
     group_from_generators,
     identity,
