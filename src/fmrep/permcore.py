@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import factorial, isqrt, lcm
+from math import factorial, gcd, isqrt, lcm
 from operator import itemgetter
 
 Perm = tuple
@@ -345,7 +345,7 @@ def trivial_group(degree):
 # -- Sylow subgroups ------------------------------------------------------
 
 
-# Most elements sylow_subgroup will stream (about 5x |S9|).
+# Most nodes the lex walk of sylow_subgroup will build (S11 at p = 2 needs 537k).
 SYLOW_STREAM_CAP = 2 * 10**6
 # Largest conjugation orbit a fusion decision walks.
 CONJUGACY_CAP = 10**6
@@ -365,20 +365,75 @@ def _p_part(n, p):
     return e
 
 
-def _prefix_descent(G, p):
-    """H = G_{0..i-1}: while the least point i that H moves has an orbit
-    of length prime to p, H becomes its stabilizer (level 1 of a chain
-    with base point i first)."""
+def _lex_chain(G):
+    """Stabilizer chain of G with base 0, 1, ..., n-1, nontrivial levels
+    only: (b, {point: q -> mul(u, q)}) per level, where b is the least
+    point moved by the stabilizer H of 0..b-1 and u in H maps b to
+    point."""
+    levels = []
     H = G
     while H.order > 1:
-        i = H.moved_points()[0]
-        if H.base[0] != i:
-            # a generator that moves i first makes i the first base point
-            H = PermGroup(sorted(H.generators, key=lambda g: g[i] == i), H.degree)
-        if len(H._transversals[0]) % p == 0:
-            break
+        b = H.moved_points()[0]
+        if H.base[0] != b:
+            # a generator that moves b first makes b the first base point
+            H = PermGroup(sorted(H.generators, key=lambda g: g[b] == b), H.degree)
+        levels.append((b, {pt: _left(u) for pt, u in H._transversals[0].items()}))
         H = PermGroup(H._strong[1] if len(H.base) > 1 else [], H.degree)
-    return H
+    return levels
+
+
+def _lex_p_elements(G, p, limit):
+    """(x, order) for the p-elements x of G in lex order of their image
+    tuples, lazily, by a depth-first walk of the chain from _lex_chain;
+    `limit` is a power of p that every p-element order divides.
+
+    A node at level i is a coset map c: every element below it agrees
+    with c on the points before the next level's base point (the deeper
+    stabilizer fixes them).  Its children are u * c for the transversal
+    elements u of the level, and the child's image of the level point b
+    is c[u[b]], distinct for distinct u.  Visiting them in increasing
+    order of that image, and of the images before b, which all children
+    share, makes depth-first order lex order.
+
+    A child whose fixed points close a cycle of a length that does not
+    divide limit is pruned: every element below it has that cycle.  A
+    child at the last level is a whole element, kept when _p_order finds
+    it a p-element.  So the walk yields the p-elements, and only them.
+
+    Raises CapExceeded once it has built more than SYLOW_STREAM_CAP
+    nodes (pruned ones included).
+    """
+    n = G.degree
+    ident = identity(n)
+    levels = _lex_chain(G)
+    ends = [b for b, _ in levels[1:]] + [n]
+    stack = [(ident, 0)]
+    built = 1
+    while stack:
+        c, i = stack.pop()
+        b, left = levels[i]
+        end = ends[i]
+        built += len(left)
+        if built > SYLOW_STREAM_CAP:
+            raise CapExceeded(f"sylow: lex walk exceeds cap {SYLOW_STREAM_CAP} nodes")
+        children = (left[pt](c) for pt in sorted(left, key=c.__getitem__))
+        if end == n:
+            for x in children:
+                order = _p_order(x, p, limit, ident, b)
+                if order:
+                    yield x, order
+            continue
+        kids = []
+        for child in children:
+            for j in range(b, end):
+                k, length = child[j], 1
+                while k != j and k < end:
+                    k, length = child[k], length + 1
+                if k == j and limit % length:
+                    break
+            else:
+                kids.append((child, i + 1))
+        stack += reversed(kids)
 
 
 def sylow_subgroup(G, p):
@@ -389,53 +444,63 @@ def sylow_subgroup(G, p):
     p-element normalizing P but outside it (one exists: a proper
     p-subgroup has a larger normalizer in any Sylow subgroup over it).
 
-    Only H = G_{0..i-1} from _prefix_descent is streamed, and the result
-    is the same.  [G:H] is a product of orbit lengths prime to p, so H
-    holds a Sylow subgroup of G.  In lex order every element fixing
-    0..i-1 precedes every element g that does not (at the first such
-    point j that g moves, g[j] > j).  So the lex-least p-element of
-    maximal order lies in H (all Sylow subgroups are conjugate), and so
-    does each lex-first normalizing p-element (P <= H is not Sylow in
-    H).  A point past the first orbit of length divisible by p would
-    break the prefix, and with it this argument.
+    The p-elements and their orders come from the lazy lex walk of
+    _lex_p_elements (its docstring says why depth-first order is lex
+    order there, and why pruning loses no p-element) and are kept in a
+    memo in lex order.  Each search rescans the memo and extends the
+    walk only past its end, so the walk stops at the last element the
+    definition picks, not at the end of G.
 
-    Raises CapExceeded when |H| > SYLOW_STREAM_CAP, and CertificateError
-    unless the result has order |G|_p.
+    The maximal order m is not known before the walk ends.  The guess
+    is the largest p-part of a generator's order (at least p), which
+    some element has.  S grown from the lex-least element of order m is
+    Sylow, and all Sylow subgroups are conjugate, so its exponent e is
+    the largest p-element order in G: e = m certifies the guess, and
+    e > m redoes the search from the lex-least element of order e.
+
+    Raises CapExceeded when the walk builds more than SYLOW_STREAM_CAP
+    nodes, and CertificateError unless the result has order |G|_p.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     target = _p_part(G.order, p)
     if target == 1:
         return trivial_group(G.degree)
-    H = _prefix_descent(G, p)
-    if H.order > SYLOW_STREAM_CAP:
-        raise CapExceeded(f"sylow: {H.order} elements to stream / cap {SYLOW_STREAM_CAP}")
-    limit = target  # a cycle of length p^e needs p^e <= degree
-    while limit > G.degree:
-        limit //= p
-    ident, point = identity(G.degree), H.base[0]
-    orders = {}
-    for x in H.elements():
-        o = _p_order(x, p, limit, ident, point)
-        if o > 1:
-            orders[x] = o
-    pelems = sorted(orders)
-    start = min(pelems, key=lambda x: -orders[x])
-    gens = [start]
-    S = group_from_generators(gens, G.degree)
-    pset = set(S.elements())
-    while S.order < target:
-        for x in pelems:
-            if x in pset:
-                continue
-            x_inv = _left(inverse(x))
-            if all(x_inv(mul(s, x)) in pset for s in gens):
-                gens.append(x)
-                S = group_from_generators(gens, G.degree)
-                pset = set(S.elements())
-                break
-        else:
-            raise CertificateError("Sylow growth stalled; group data inconsistent")
+    limit = p  # a cycle of length p^e needs p^e <= degree
+    while limit * p <= G.degree and G.order % (limit * p) == 0:
+        limit *= p
+    ident = identity(G.degree)
+    walk = _lex_p_elements(G, p, limit)
+    memo = []  # (x, order) for the p-elements walked so far, in lex order
+
+    def lex_p_elements():
+        yield from memo
+        for entry in walk:
+            memo.append(entry)
+            yield entry
+
+    # the p-part of a generator's order divides |G| and is at most the degree
+    m = max(p, *(gcd(perm_order(g), limit) for g in G.generators))
+    while True:
+        gens = [next(x for x, order in lex_p_elements() if order == m)]
+        S = group_from_generators(gens, G.degree)
+        pset = set(S.elements())
+        while S.order < target:
+            for x, _ in lex_p_elements():
+                if x in pset:
+                    continue
+                x_inv = _left(inverse(x))
+                if all(x_inv(mul(s, x)) in pset for s in gens):
+                    gens.append(x)
+                    S = group_from_generators(gens, G.degree)
+                    pset = set(S.elements())
+                    break
+            else:
+                raise CertificateError("Sylow growth stalled; group data inconsistent")
+        e = max(_p_order(s, p, limit, ident, 0) for s in pset)
+        if e <= m:
+            break
+        m = e
     if S.order != target:
         raise CertificateError(f"Sylow candidate has order {S.order}, not {target}")
     return S
@@ -486,7 +551,8 @@ def class_partition(S):
 
     Classes are ordered canonically: by element order, then class size,
     then lexicographically minimal representative (so the identity class
-    is always first).  Raises CapExceeded when |S| > CLASS_CAP.
+    is always first).  Raises CapExceeded when |S| > CLASS_CAP, or with
+    "classes: " before the message of conjugation_orbit.
     """
     if S.order > CLASS_CAP:
         raise CapExceeded(f"group order {S.order} exceeds class enumeration cap {CLASS_CAP}")
@@ -494,7 +560,10 @@ def class_partition(S):
     orbits = []
     for x in sorted(remaining):
         if x in remaining:
-            orbit = conjugation_orbit(x, S.generators)
+            try:
+                orbit = conjugation_orbit(x, S.generators)
+            except CapExceeded as ex:
+                raise CapExceeded(f"classes: {ex}") from None
             remaining -= orbit
             orbits.append((ConjClass(representative=x, size=len(orbit), element_order=perm_order(x)), orbit))
     orbits.sort(key=lambda co: (co[0].element_order, co[0].size, co[0].representative))
@@ -533,8 +602,8 @@ def _conjugates_among(G, x, ys):
     candidate fix each point that G fixes, the full symmetric group on
     the moved points keeps all of them and the alternating group decides
     by _alternating_conjugate; otherwise one conjugation-orbit walk of x,
-    capped at CONJUGACY_CAP (CapExceeded means undecided), stops once
-    all are seen.
+    capped at CONJUGACY_CAP (CapExceeded, its message after "fusion: ",
+    means undecided), stops once all are seen.
     """
     ctype = cycle_lengths(x)
     ys = [y for y in ys if cycle_lengths(y) == ctype]
@@ -547,7 +616,10 @@ def _conjugates_among(G, x, ys):
             return ys
         if G.is_natural_alternating():
             return [y for y in ys if _alternating_conjugate(x, y, moved)]
-    orbit = conjugation_orbit(x, G.generators, targets=ys)
+    try:
+        orbit = conjugation_orbit(x, G.generators, targets=ys)
+    except CapExceeded as ex:
+        raise CapExceeded(f"fusion: {ex}") from None
     return [y for y in ys if y in orbit]
 
 

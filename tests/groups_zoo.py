@@ -173,3 +173,22 @@ def sylow_products():
         ("C3wrC3xC3", _perm_group("(1,2,3)", "(1,4,7)(2,5,8)(3,6,9)", "(10,11,12)", 12)),
         ("C2wrC2wrC2xC2", _perm_group("(1,2)", "(1,3)(2,4)", "(1,5)(2,6)(3,7)(4,8)", "(9,10)", 10)),
     ]
+
+
+def symmetric_group(n):
+    """Sym(n) on 1..n, generated by (1,2) and (1,...,n)."""
+    cyc = "(" + ",".join(map(str, range(1, n + 1))) + ")"
+    return _perm_group("(1,2)", cyc, n)
+
+
+def psl2(q):
+    """PSL2(q), q an odd prime, by its Moebius action on the projective
+    line: point 0 is infinity and point i + 1 is i mod q.  Generated by
+    x -> x + 1 and x -> -1/x."""
+
+    def perm(f):
+        return tuple(0 if y is None else y + 1 for y in map(f, [None, *range(q)]))
+
+    shift = perm(lambda x: None if x is None else (x + 1) % q)
+    invert = perm(lambda x: 0 if x is None else None if x == 0 else -pow(x, -1, q) % q)
+    return group_from_generators([shift, invert], q + 1)

@@ -188,26 +188,44 @@ def test_exit_code_partition_not_power_stable(tmp_path, capsys):
     assert "power map x -> x^2" in err and "block [2, 3]" in err
 
 
-def _s11_file(tmp_path):
-    f = tmp_path / "s11.txt"
-    f.write_text("(1,2)\n(1,2,3,4,5,6,7,8,9,10,11)\n")
+def _symmetric_file(tmp_path, n):
+    f = tmp_path / f"s{n}.txt"
+    f.write_text("(1,2)\n(" + ",".join(map(str, range(1, n + 1))) + ")\n")
     return f
 
 
-def test_exit_code_sylow_stream_cap(tmp_path, capsys):
+def test_exit_code_sylow_stream_cap(monkeypatch, tmp_path, capsys):
+    # S11 at p = 2 passes the Sylow stage under the real cap (537k nodes)
+    monkeypatch.setattr(permcore, "SYLOW_STREAM_CAP", 10**4)
     start = time.perf_counter()
-    code, _, err = run_cli(capsys, "run", "--group", str(_s11_file(tmp_path)), "--prime", "2")
+    code, _, err = run_cli(capsys, "run", "--group", str(_symmetric_file(tmp_path, 11)), "--prime", "2")
     assert code == EXIT_CAP
-    assert "sylow: 3628800 elements to stream / cap 2000000" in err
+    assert "cap exceeded: sylow: lex walk exceeds cap 10000 nodes" in err
     assert time.perf_counter() - start < 1.0
 
 
 def test_s11_at_3_descends_below_the_cap(tmp_path, capsys):
     code, out, _ = run_cli(
-        capsys, "run", "--group", str(_s11_file(tmp_path)), "--prime", "3", "--mode", "fusion"
+        capsys, "run", "--group", str(_symmetric_file(tmp_path, 11)), "--prime", "3", "--mode", "fusion"
     )
     assert code == EXIT_OK
     assert "fusion classes   5" in out
+
+
+def test_s10_and_s11_at_2_share_the_fusion_pattern(tmp_path, capsys):
+    payloads = []
+    for n in (10, 11):
+        out_file = tmp_path / f"s{n}.json"
+        code, out, _ = run_cli(
+            capsys, "run", "--group", str(_symmetric_file(tmp_path, n)), "--prime", "2",
+            "--mode", "fusion", "--out", str(out_file),
+        )
+        assert code == EXIT_OK
+        assert "fusion classes   14" in out
+        payloads.append(json.loads(out_file.read_text()))
+    for data in payloads:
+        assert (data["sylow_order"], data["sylow_class_count"]) == (256, 40)
+    assert payloads[0]["fusion_labels"] == payloads[1]["fusion_labels"]
 
 
 def test_partition_requires_p_group(tmp_path, capsys):
@@ -225,7 +243,14 @@ def test_exit_code_conjugacy_cap(monkeypatch, capsys):
     monkeypatch.setattr(permcore, "CONJUGACY_CAP", 16)
     code, _, err = run_cli(capsys, "run", "--group", "M10")
     assert code == EXIT_CAP
-    assert "cap exceeded: conjugation orbit cap 16 exceeded" in err
+    assert "cap exceeded: fusion: conjugation orbit cap 16 exceeded" in err
+
+
+def test_exit_code_conjugacy_cap_in_class_walk(monkeypatch, capsys):
+    monkeypatch.setattr(permcore, "CONJUGACY_CAP", 1)
+    code, _, err = run_cli(capsys, "run", "--group", "M10")
+    assert code == EXIT_CAP
+    assert "cap exceeded: classes: conjugation orbit cap 1 exceeded" in err
 
 
 def test_exit_code_report_into_missing_directory(tmp_path, capsys):

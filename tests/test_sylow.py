@@ -16,8 +16,8 @@ from fmrep.catalog import CATALOG, load_group
 from fmrep.permcore import (
     CapExceeded,
     CertificateError,
+    _lex_p_elements,
     _p_order,
-    _prefix_descent,
     conjugate,
     group_from_generators,
     identity,
@@ -55,20 +55,36 @@ def assert_same_as_oracle(G, p):
     assert sylow_subgroup(G, p).generators == full_scan_sylow(G, p).generators
 
 
+# -- the lex walk ------------------------------------------------------------
+
+
+def p_limit(G, p):
+    """Largest power of p dividing |G| and at most the degree."""
+    limit = 1
+    while G.order % (limit * p) == 0 and limit * p <= G.degree:
+        limit *= p
+    return limit
+
+
+CATALOG_GROUPS = [
+    (name, load_group(name))
+    for name, entry in CATALOG.items()
+    if entry.tier in ("fast", "table")
+]
+WALKED = ZOO + [(f"S{n}", S(n)) for n in range(1, 8)] + [
+    (name, G) for name, G in CATALOG_GROUPS if G.order <= 2 * 10**4
+]
+
+
+@pytest.mark.parametrize("name,G", WALKED, ids=[n for n, _ in WALKED])
+def test_walk_yields_p_elements_in_lex_order(name, G):
+    for p in primes_dividing(G.order):
+        walked = list(_lex_p_elements(G, p, p_limit(G, p)))
+        assert [x for x, _ in walked] == sorted(x for x in G.elements() if is_p_element(x, p))
+        assert all(order == perm_order(x) for x, order in walked)
+
+
 # -- same subgroup as the full scan -------------------------------------------
-
-
-def test_s5_at_3_descends_two_levels():
-    G = S(5)
-    H = _prefix_descent(G, 3)
-    assert H.order == 6 and H.moved_points() == [2, 3, 4]
-    assert_same_as_oracle(G, 3)
-
-
-def test_sl3_3_at_2_descends_one_level():
-    G = load_group("SL3_3")
-    assert _prefix_descent(G, 2).order == G.order // 13
-    assert_same_as_oracle(G, 2)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -84,22 +100,33 @@ def test_zoo_every_prime(name, G):
         assert_same_as_oracle(G, p)
 
 
-def test_descent_stops_at_first_orbit_divisible_by_p():
-    # S3 x S2 on {0,1,2} and {3,4}: the orbit of 0 has length 3, so no
-    # descent at p = 3, although the orbit of 3 has length 2.
-    G = group_from_generators([parse_perm(c, 5) for c in ("(1,2)", "(1,2,3)", "(4,5)")], 5)
-    assert _prefix_descent(G, 3) is G
-    assert _prefix_descent(G, 2).order == 4
-    for p in (2, 3):
-        assert_same_as_oracle(G, p)
+def test_restart_when_exponent_exceeds_guess(monkeypatch):
+    # the generators of A6 have orders 3 and 5, so the guessed maximal
+    # 2-order is 2; the Sylow subgroup grown from there has exponent 4,
+    # and the search restarts from the lex-least element of order 4
+    G = load_group("A6")
+    assert [perm_order(g) % 2 for g in G.generators] == [1, 1]
+    starts = []
+    real = permcore.group_from_generators
+
+    def spy(gens, degree):
+        if len(gens) == 1:
+            starts.append(perm_order(gens[0]))
+        return real(gens, degree)
+
+    monkeypatch.setattr(permcore, "group_from_generators", spy)
+    assert_same_as_oracle(G, 2)
+    assert starts == [2, 4]
 
 
 # -- stream cap and certificates -----------------------------------------------
 
 
-def test_stream_cap_names_stage_and_value():
-    with pytest.raises(CapExceeded, match=r"sylow: 3628800 elements to stream / cap 2000000"):
-        sylow_subgroup(S(11), 2)
+def test_stream_cap_names_stage_and_value(monkeypatch):
+    # S9 at p = 3 builds about 53k nodes
+    monkeypatch.setattr(permcore, "SYLOW_STREAM_CAP", 10**4)
+    with pytest.raises(CapExceeded, match=r"sylow: lex walk exceeds cap 10000 nodes"):
+        sylow_subgroup(S(9), 3)
 
 
 def test_order_certificate_raises(monkeypatch):
@@ -145,11 +172,7 @@ def test_mul_matches_definition():
         )
 
 
-GROUPS = [(name, G) for name, G in ZOO if G.order > 1] + [
-    (name, load_group(name))
-    for name, entry in CATALOG.items()
-    if entry.tier in ("fast", "table")
-]
+GROUPS = [(name, G) for name, G in ZOO if G.order > 1] + CATALOG_GROUPS
 
 
 @settings(max_examples=300, deadline=None)
@@ -162,8 +185,5 @@ def test_p_order_matches_cycle_type(data):
     for g in word:
         x = mul(x, g)
     for p in primes_dividing(G.order):
-        limit = 1
-        while G.order % (limit * p) == 0 and limit * p <= G.degree:
-            limit *= p
         expected = perm_order(x) if is_p_element(x, p) else 0
-        assert _p_order(x, p, limit, identity(G.degree), point) == expected
+        assert _p_order(x, p, p_limit(G, p), identity(G.degree), point) == expected
