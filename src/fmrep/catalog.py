@@ -76,15 +76,15 @@ CATALOG = {
         ),
         CatalogEntry(
             "PSU3_9", 2, "stretch", Expectation(9, 53, False, None),
-            note="disabled by default: beyond the desk-scale conjugacy budget",
+            note="disabled by default; completes in a few seconds",
         ),
         CatalogEntry(
             "PSL3_19", 3, "stretch", Expectation(7, 16, False, None),
-            note="disabled by default: beyond the desk-scale conjugacy budget",
+            note="disabled by default: stops at the Sylow node cap",
         ),
         CatalogEntry(
             "PSL4_7", 3, "stretch", Expectation(None, None, True, None),
-            note="disabled by default: beyond the desk-scale conjugacy budget",
+            note="disabled by default: stops at the Sylow node cap",
         ),
     ]
 }

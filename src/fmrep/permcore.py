@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import factorial, gcd, isqrt, lcm
+from math import factorial, gcd, isqrt, lcm, prod
 from operator import itemgetter
 
 Perm = tuple
@@ -172,9 +172,21 @@ class PermGroup:
     internal state.  Instances are immutable.
     """
 
-    __slots__ = ("degree", "generators", "base", "_transversals", "_strong", "order")
+    __slots__ = ("degree", "generators", "base", "_transversals", "_inverses", "_strong", "order")
 
     def __init__(self, generators, degree):
+        self._construct(generators, degree, None)
+
+    @classmethod
+    def _of_order(cls, generators, degree, order):
+        """PermGroup(generators, degree) for generators known to generate
+        a group of this order: the same internal state, built faster (see
+        _build)."""
+        group = cls.__new__(cls)
+        group._construct(generators, degree, order)
+        return group
+
+    def _construct(self, generators, degree, known_order):
         for g in generators:
             if len(g) != degree:
                 raise ValueError("generator degree mismatch")
@@ -182,12 +194,10 @@ class PermGroup:
         self.generators = tuple(tuple(g) for g in generators)
         self.base = []
         self._transversals = []
+        self._inverses = []  # per level, point -> inverse of its transversal element
         self._strong = []
-        self._build()
-        order = 1
-        for t in self._transversals:
-            order *= len(t)
-        self.order = order
+        self._build(known_order)
+        self.order = prod(map(len, self._transversals))
 
     # -- construction ---------------------------------------------------
     #
@@ -196,8 +206,16 @@ class PermGroup:
     # Levels are verified bottom-up: verifying level i assumes all deeper
     # levels already satisfy the Schreier condition, so sifting through
     # them is a correct membership test.
+    #
+    # The product of the transversal lengths never exceeds the group
+    # order: the group of _strong[i] has at least len(transversal i) times
+    # as many elements as the group of _strong[i+1], a subgroup of it
+    # that fixes base[i].
+    # It reaches the order only when each of those is an equality, that
+    # is when every level already meets the Schreier condition; then the
+    # remaining sifts would add nothing, and a known order ends the run.
 
-    def _build(self):
+    def _build(self, known_order):
         ident = identity(self.degree)
         gens = [g for g in self.generators if g != ident]
         if not gens:
@@ -212,26 +230,30 @@ class PermGroup:
             for l in range(j + 1):
                 self._strong[l].append(g)
         self._transversals = [None] * k
+        self._inverses = [None] * k
         for l in range(k):
             self._recompute_transversal(l)
         i = k - 1
-        while i >= 0:
+        while i >= 0 and prod(map(len, self._transversals)) != known_order:
             deeper = self._verify_level(i)
             i = i - 1 if deeper is None else deeper
 
     def _recompute_transversal(self, level):
         base_pt = self.base[level]
         trans = {base_pt: identity(self.degree)}
+        invs = dict(trans)
         queue = [base_pt]
-        gens = self._strong[level]
+        gens = [(s, _left(inverse(s))) for s in self._strong[level]]
         for pt in queue:
             u = trans[pt]
-            for s in gens:
+            for s, s_inv in gens:
                 q = s[pt]
                 if q not in trans:
                     trans[q] = mul(u, s)
+                    invs[q] = s_inv(invs[pt])
                     queue.append(q)
         self._transversals[level] = trans
+        self._inverses[level] = invs
 
     def _verify_level(self, i):
         """Sift every Schreier generator of level i through deeper levels.
@@ -240,11 +262,11 @@ class PermGroup:
         i+1..j and returns j (the level to re-verify from); returns None
         when the level passes.
         """
-        trans = self._transversals[i]
+        trans, invs = self._transversals[i], self._inverses[i]
         for pt in sorted(trans):
             u = trans[pt]
             for s in self._strong[i]:
-                schreier = mul(mul(u, s), inverse(trans[s[pt]]))
+                schreier = mul(mul(u, s), invs[s[pt]])
                 residue, j = self._sift(schreier, i + 1)
                 if residue is None:
                     continue
@@ -254,6 +276,7 @@ class PermGroup:
                     )
                     self._strong.append([])
                     self._transversals.append(None)
+                    self._inverses.append(None)
                 for l in range(i + 1, j + 1):
                     self._strong[l].append(residue)
                 for l in range(i + 1, j + 1):
@@ -273,11 +296,11 @@ class PermGroup:
         while x != ident:
             if level == len(self.base):
                 return x, level
-            trans = self._transversals[level]
+            invs = self._inverses[level]
             pt = x[self.base[level]]
-            if pt not in trans:
+            if pt not in invs:
                 return x, level
-            x = mul(x, inverse(trans[pt]))
+            x = mul(x, invs[pt])
             level += 1
         return None, level
 
@@ -347,7 +370,7 @@ def trivial_group(degree):
 
 # Most nodes the lex walk of sylow_subgroup will build (S11 at p = 2 needs 537k).
 SYLOW_STREAM_CAP = 2 * 10**6
-# Largest conjugation orbit a fusion decision walks.
+# Most nodes one conjugacy search of a fusion decision builds.
 CONJUGACY_CAP = 10**6
 # Largest group whose classes class_partition enumerates.
 CLASS_CAP = 10**5
@@ -471,25 +494,29 @@ def sylow_subgroup(G, p):
         limit *= p
     ident = identity(G.degree)
     walk = _lex_p_elements(G, p, limit)
-    memo = []  # (x, order) for the p-elements walked so far, in lex order
+    # [x, order, q -> mul(x^-1, q) once a growth step needs it] for the
+    # p-elements walked so far, in lex order
+    memo = []
 
     def lex_p_elements():
         yield from memo
-        for entry in walk:
-            memo.append(entry)
-            yield entry
+        for x, order in walk:
+            memo.append([x, order, None])
+            yield memo[-1]
 
     # the p-part of a generator's order divides |G| and is at most the degree
     m = max(p, *(gcd(perm_order(g), limit) for g in G.generators))
     while True:
-        gens = [next(x for x, order in lex_p_elements() if order == m)]
+        gens = [next(x for x, order, _ in lex_p_elements() if order == m)]
         S = group_from_generators(gens, G.degree)
         pset = set(S.elements())
         while S.order < target:
-            for x, _ in lex_p_elements():
+            for entry in lex_p_elements():
+                x, _, x_inv = entry
                 if x in pset:
                     continue
-                x_inv = _left(inverse(x))
+                if x_inv is None:
+                    x_inv = entry[2] = _left(inverse(x))
                 if all(x_inv(mul(s, x)) in pset for s in gens):
                     gens.append(x)
                     S = group_from_generators(gens, G.degree)
@@ -516,32 +543,18 @@ class ConjClass:
     element_order: int
 
 
-def conjugation_orbit(x, gens, targets=None):
-    """Orbit of x under conjugation by a generator list.
-
-    Stops early once every element of `targets` has been seen.  Raises
-    CapExceeded when the orbit grows past CONJUGACY_CAP (result
-    undecided).
-    """
+def conjugation_orbit(x, gens):
+    """Orbit of x under conjugation by a generator list."""
     orbit = {x}
     queue = [x]
-    waiting = set(targets) - orbit if targets is not None else None
-    if waiting is not None and not waiting:
-        return orbit
     conj = [(_left(inverse(g)), g) for g in gens]  # y^g = g_inv(mul(y, g))
     for y in queue:
         y_left = _left(y)
         for g_inv, g in conj:
             z = g_inv(y_left(g))
             if z not in orbit:
-                if len(orbit) >= CONJUGACY_CAP:
-                    raise CapExceeded(f"conjugation orbit cap {CONJUGACY_CAP} exceeded")
                 orbit.add(z)
                 queue.append(z)
-                if waiting is not None:
-                    waiting.discard(z)
-                    if not waiting:
-                        return orbit
     return orbit
 
 
@@ -551,8 +564,7 @@ def class_partition(S):
 
     Classes are ordered canonically: by element order, then class size,
     then lexicographically minimal representative (so the identity class
-    is always first).  Raises CapExceeded when |S| > CLASS_CAP, or with
-    "classes: " before the message of conjugation_orbit.
+    is always first).  Raises CapExceeded when |S| > CLASS_CAP.
     """
     if S.order > CLASS_CAP:
         raise CapExceeded(f"group order {S.order} exceeds class enumeration cap {CLASS_CAP}")
@@ -560,10 +572,7 @@ def class_partition(S):
     orbits = []
     for x in sorted(remaining):
         if x in remaining:
-            try:
-                orbit = conjugation_orbit(x, S.generators)
-            except CapExceeded as ex:
-                raise CapExceeded(f"classes: {ex}") from None
+            orbit = conjugation_orbit(x, S.generators)
             remaining -= orbit
             orbits.append((ConjClass(representative=x, size=len(orbit), element_order=perm_order(x)), orbit))
     orbits.sort(key=lambda co: (co[0].element_order, co[0].size, co[0].representative))
@@ -595,15 +604,120 @@ def _alternating_conjugate(x, y, points):
     return _parity(s) == 0
 
 
+def _cycle_length_map(p):
+    """Length of the cycle of p through each point."""
+    lengths = [0] * len(p)
+    for cyc in cycles(p):
+        for i in cyc:
+            lengths[i] = len(cyc)
+    return lengths
+
+
+def _conjugator_search(G, x):
+    """find(y) -> some g in G with conjugate(x, g) == y, or None.
+
+    Set-up, once per x: relabel the points so that x's cycles are
+    consecutive runs, longest first, and build one PermGroup H of the
+    relabelled generators, one that moves point 0 first.  H takes least
+    moved points as its base, so the base starts at 0 and follows x's
+    cycles, and most base points find their x-preimage already fixed.
+
+    find walks H's stabilizer chain depth first.  A node at depth d is a
+    coset map c: every element below it agrees with c on F_d, the points
+    that the stabilizer of the first d base points fixes (F_0 is the
+    fixed set of H; at the last depth F is every point).  Its children
+    are u * c for the transversal elements u of level d; the child maps
+    the base point b to c[u[b]].
+
+    g conjugates x to y exactly when y[g[i]] = g[x[i]] for every point i.
+    - Forced child: if x^-1(b) lies in F_d, every conjugator g below c
+      has g(b) = y(c(x^-1 b)), so at most one child is kept, by lookup.
+    - Otherwise a conjugator maps b's x-cycle onto a y-cycle of the same
+      length, so only children that send b onto such a y-cycle are kept.
+    - A node at depth d is checked on the points of F_d that F_(d-1) does
+      not hold: their x-cycle length against the y-cycle length of their
+      image, and y[g[i]] = g[x[i]] for every pair (i, x[i]) with one end
+      among them and both in F_d (the root is checked on F_0).
+    Every element below a node agrees with it on F_d, so a failed check
+    rules out every element below it, and the pruning loses no
+    conjugator.  Each pair (i, x[i]) is checked at the depth where its
+    later end enters F, and a leaf has F = every point, so a leaf is a
+    conjugator.
+
+    Raises CapExceeded once one find builds more than CONJUGACY_CAP
+    nodes.
+    """
+    n = G.degree
+    order = tuple(i for cyc in sorted(cycles(x), key=len, reverse=True) for i in cyc)
+    pos = inverse(order)  # point i is renamed pos[i]
+    pick, unpick = _left(order), _left(pos)
+
+    def relabel(p):  # p with its points renamed
+        return _left(pick(p))(pos)
+
+    gens = sorted((relabel(g) for g in G.generators), key=lambda g: g[0] == 0)
+    H = PermGroup._of_order(gens, n, G.order)
+    xr = relabel(x)
+    xinv = inverse(xr)
+    xlen = _cycle_length_map(xr)
+    fixed = [{i for i in range(n) if all(s[i] == i for s in strong)} for strong in H._strong]
+    fixed.append(set(range(n)))
+    checks, held = [], set()
+    for F in fixed:
+        new = F - held
+        pairs = [(i, xr[i]) for i in range(n) if (i in new or xr[i] in new) and i in F and xr[i] in F]
+        checks.append((sorted(new), pairs))
+        held = F
+    levels = [
+        (b, {pt: _left(u) for pt, u in trans.items()}, xinv[b] in F)
+        for b, trans, F in zip(H.base, H._transversals, fixed)
+    ]
+
+    def find(y):
+        yr = relabel(y)
+        ylen = _cycle_length_map(yr)
+
+        def passes(g, d):
+            new, pairs = checks[d]
+            return all(ylen[g[j]] == xlen[j] for j in new) and all(yr[g[i]] == g[j] for i, j in pairs)
+
+        root = identity(n)
+        if not passes(root, 0):
+            return None
+        stack = [(root, 0)]
+        built = 1
+        while stack:
+            c, d = stack.pop()
+            if d == len(levels):
+                return _left(unpick(c))(order)  # in G's point names
+            b, left, forced = levels[d]
+            if forced:
+                pt = c.index(yr[c[xinv[b]]])
+                pts = [pt] if pt in left else []
+            else:
+                pts = [pt for pt in left if ylen[c[pt]] == xlen[b]]
+            built += len(pts)
+            if built > CONJUGACY_CAP:
+                raise CapExceeded(f"fusion: conjugacy search exceeds cap {CONJUGACY_CAP} nodes")
+            for pt in pts:
+                child = left[pt](c)
+                if passes(child, d + 1):
+                    stack.append((child, d + 1))
+        return None
+
+    return find
+
+
 def _conjugates_among(G, x, ys):
     """The members of ys that are conjugate to x in G.
 
     Candidates of another cycle type drop out first.  When x and every
     candidate fix each point that G fixes, the full symmetric group on
     the moved points keeps all of them and the alternating group decides
-    by _alternating_conjugate; otherwise one conjugation-orbit walk of x,
-    capped at CONJUGACY_CAP (CapExceeded, its message after "fusion: ",
-    means undecided), stops once all are seen.
+    by _alternating_conjugate.  Otherwise one backtrack search per
+    candidate y, over one chain built for x (_conjugator_search), finds
+    a g in G with x^g = y or proves there is none; each found g is
+    certified: CertificateError unless g is in G and conjugate(x, g) == y.
     """
     ctype = cycle_lengths(x)
     ys = [y for y in ys if cycle_lengths(y) == ctype]
@@ -616,11 +730,16 @@ def _conjugates_among(G, x, ys):
             return ys
         if G.is_natural_alternating():
             return [y for y in ys if _alternating_conjugate(x, y, moved)]
-    try:
-        orbit = conjugation_orbit(x, G.generators, targets=ys)
-    except CapExceeded as ex:
-        raise CapExceeded(f"fusion: {ex}") from None
-    return [y for y in ys if y in orbit]
+    find = _conjugator_search(G, x)
+    out = []
+    for y in ys:
+        g = find(y)
+        if g is None:
+            continue
+        if g not in G or conjugate(x, g) != y:
+            raise CertificateError(f"fusion: {format_perm(g)} does not conjugate {format_perm(x)} to {format_perm(y)}")
+        out.append(y)
+    return out
 
 
 def is_conjugate(G, x, y):

@@ -16,6 +16,10 @@ The Sylow oracle is the lex-ordered growth of fmrep.permcore run on all
 of G, with p-elements recognized from cycle types: no descent and no
 power-based order test.
 
+The conjugacy oracle walks the conjugation orbit of x under G's
+generators until every candidate has been seen, or the orbit ends: the
+decision fmrep.permcore made before its backtrack search.
+
 The atoms oracle walks the lattice points inside the box bounded by the
 regular representation and keeps the minimal ones.  It is complete only
 when every atom is a subrepresentation of the regular representation,
@@ -50,6 +54,7 @@ import numpy as np
 from fmrep.cyclonum import _descent_matrix, from_rational, prime_divisors, zeta
 from fmrep.intlin import det, hermite_normal_form, nonzero_rows, solve_integer
 from fmrep.permcore import (
+    _left,
     class_partition,
     conjugate,
     cycle_lengths,
@@ -287,6 +292,26 @@ def full_scan_sylow(G, p):
         S = group_from_generators(gens, G.degree)
     assert S.order == target
     return S
+
+
+def orbit_walk_conjugates(G, x, ys):
+    """The members of ys that are conjugate to x in G, by a walk of the
+    conjugation orbit of x that stops once every member has been seen."""
+    conj = [(_left(inverse(g)), g) for g in G.generators]  # y^g = g^-1 * y * g
+    orbit = {x}
+    queue = [x]
+    waiting = set(ys) - orbit
+    for y in queue:
+        if not waiting:
+            break
+        y_left = _left(y)
+        for g_inv, g in conj:
+            z = g_inv(y_left(g))
+            if z not in orbit:
+                orbit.add(z)
+                queue.append(z)
+                waiting.discard(z)
+    return [y for y in ys if y in orbit]
 
 
 def atoms_bounded_search(lattice, table, budget=None):

@@ -238,19 +238,21 @@ def test_partition_requires_p_group(tmp_path, capsys):
 
 
 def test_exit_code_conjugacy_cap(monkeypatch, capsys):
-    # |S| = 16 keeps the class walks of S under the cap, so it fires in
-    # the fusion walks in M10
     monkeypatch.setattr(permcore, "CONJUGACY_CAP", 16)
     code, _, err = run_cli(capsys, "run", "--group", "M10")
     assert code == EXIT_CAP
-    assert "cap exceeded: fusion: conjugation orbit cap 16 exceeded" in err
+    assert "cap exceeded: fusion: conjugacy search exceeds cap 16 nodes" in err
 
 
-def test_exit_code_conjugacy_cap_in_class_walk(monkeypatch, capsys):
-    monkeypatch.setattr(permcore, "CONJUGACY_CAP", 1)
-    code, _, err = run_cli(capsys, "run", "--group", "M10")
-    assert code == EXIT_CAP
-    assert "cap exceeded: classes: conjugation orbit cap 1 exceeded" in err
+def test_stretch_psu3_9_meets_its_expectation():
+    """The stretch entry PSU3_9 (|G| = 42,573,600, |S| = 32) runs through
+    the whole pipeline in a few seconds and gives its catalog values."""
+    entry = catalog.CATALOG["PSU3_9"]
+    assert entry.tier == "stretch"
+    report = run_analysis(catalog.load_group("PSU3_9"), entry.prime, name="PSU3_9")
+    computed = (report.fusion_class_count, len(report.atoms), report.factorial)
+    assert entry.prime == 2
+    assert computed == (entry.expect.classes, entry.expect.atoms, entry.expect.factorial) == (9, 53, False)
 
 
 def test_exit_code_report_into_missing_directory(tmp_path, capsys):

@@ -5,14 +5,20 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmrep import permcore
 from fmrep.catalog import CATALOG, load_group
+from fmrep.cli import EXIT_CERTIFICATE, main
 from fmrep.permcore import (
     CapExceeded,
+    CertificateError,
+    PermGroup,
+    _conjugates_among,
+    _conjugator_search,
     class_partition,
     conjugate,
-    conjugation_orbit,
     cycle_lengths,
     format_perm,
     fuse_by_conjugacy,
@@ -27,6 +33,8 @@ from fmrep.permcore import (
     sylow_subgroup,
     trivial_group,
 )
+
+from .oracles import orbit_walk_conjugates
 
 
 def S(n):
@@ -115,6 +123,24 @@ def test_m10_order_and_exhaustive_enumeration():
         frontier = new
     assert len(elems) == 720
     assert sorted(elems) == sorted(G.elements())
+
+
+def test_known_order_build_matches_full_build():
+    """PermGroup._of_order stops Schreier-Sims once the transversals reach
+    the order, and must end in the state of a full run: checked on the
+    catalog groups outside the stretch tier, with their points renamed
+    at random."""
+    rng = random.Random(8)
+    for name, entry in CATALOG.items():
+        if entry.tier == "stretch":
+            continue
+        G = load_group(name)
+        rename = list(range(G.degree))
+        rng.shuffle(rename)
+        gens = [tuple(rename[g[i]] for i in inverse(tuple(rename))) for g in G.generators]
+        full, fast = PermGroup(gens, G.degree), PermGroup._of_order(gens, G.degree, G.order)
+        assert full.order == G.order, name
+        assert (fast.base, fast._strong, fast._transversals) == (full.base, full._strong, full._transversals), name
 
 
 def test_membership():
@@ -369,17 +395,18 @@ def test_conjugacy_cap_exceeded(monkeypatch):
         conjugate(x, g) for g in G.generators if conjugate(x, g) != x
     )
     monkeypatch.setattr(permcore, "CONJUGACY_CAP", 1)
-    with pytest.raises(CapExceeded, match="orbit cap 1 exceeded"):
+    with pytest.raises(CapExceeded, match="fusion: conjugacy search exceeds cap 1 nodes"):
         is_conjugate(G, x, y)
 
 
 @pytest.mark.parametrize("rule_group", [S, A])
 def test_is_conjugate_moves_points_g_fixes(rule_group):
     # S5 and A5 acting on 6 points: point 6 is fixed by G, so (5,6) is
-    # conjugate only to transpositions through 6, never to (1,2)
+    # conjugate only to transpositions through 6, never to (1,2); the
+    # group rules do not apply, and the search decides
     G = group_from_generators([g + (5,) for g in rule_group(5).generators])
     x, y = parse_perm("(5,6)", 6), parse_perm("(1,2)", 6)
-    assert y not in conjugation_orbit(x, G.generators)
+    assert orbit_walk_conjugates(G, x, [y]) == []
     assert not is_conjugate(G, x, y)
     assert not is_conjugate(G, y, x)
     assert is_conjugate(G, x, parse_perm("(1,6)", 6))
@@ -390,23 +417,105 @@ def _blocks(labels):
     return sorted(tuple(i for i, lab in enumerate(labels) if lab == b) for b in set(labels))
 
 
+def _oracle_labels(G, reps):
+    """fuse_by_conjugacy's labelling, with every decision made by the
+    orbit-walk oracle."""
+    labels = [None] * len(reps)
+    for i, x in enumerate(reps):
+        if labels[i] is None:
+            labels[i] = i
+            rest = [y for j, y in enumerate(reps) if j > i and labels[j] is None]
+            for y in orbit_walk_conjugates(G, x, [y for y in rest if cycle_lengths(y) == cycle_lengths(x)]):
+                labels[reps.index(y)] = i
+    return labels
+
+
 def test_fusion_dispatch_matches_orbit_walk(pipelines):
-    """The symmetric and alternating rules against plain orbit walks, on
-    every catalog group that is natural Sym or Alt."""
+    """Fusion labels, by the group rules or the search, against the
+    orbit-walk oracle on every fast and table catalog entry."""
     natural = []
     for name, entry in CATALOG.items():
         if entry.tier not in ("fast", "table"):
             continue
         G = pipelines.group(name)
-        if not (G.is_natural_symmetric() or G.is_natural_alternating()):
-            continue
-        natural.append(name)
-        reps = [c.representative for c in pipelines.run(name)[2].classes]
-        walked = []
-        for i, x in enumerate(reps):
-            same = [y for y in reps[:i] if cycle_lengths(y) == cycle_lengths(x)]
-            orbit = conjugation_orbit(x, G.generators, targets=same)
-            first = next((reps.index(y) for y in same if y in orbit), None)
-            walked.append(i if first is None else walked[first])
-        assert _blocks(fuse_by_conjugacy(G, reps)) == _blocks(walked), name
+        if G.is_natural_symmetric() or G.is_natural_alternating():
+            natural.append(name)
+        reps = [c.representative for c in class_partition(sylow_subgroup(G, entry.prime))[0]]
+        assert _blocks(fuse_by_conjugacy(G, reps)) == _blocks(_oracle_labels(G, reps)), name
     assert natural == ["S3", "S4", "S6", "S8", "S9", "A6", "A8", "A9"]
+
+
+def _random_element(G, rng):
+    """A uniformly random element: one random transversal element per level."""
+    g = identity(G.degree)
+    for trans in G._transversals:
+        g = mul(rng.choice(list(trans.values())), g)
+    return g
+
+
+def _assert_conjugator(G, x, y, g):
+    assert g is not None and g in G and conjugate(x, g) == y
+
+
+@pytest.mark.parametrize("name", [n for n, e in CATALOG.items() if e.tier != "stretch"])
+def test_conjugator_search_random_pairs(name):
+    """The search alone, with no group rule in front of it, on every
+    catalog group outside the stretch tier (|G| <= 372000): y = x^g for
+    random g is always found, and for random y of x's cycle type it
+    agrees with the orbit-walk oracle."""
+    G = load_group(name)
+    rng = random.Random(name)
+    for _ in range(3):
+        x = _random_element(G, rng)
+        find = _conjugator_search(G, x)
+        y = conjugate(x, _random_element(G, rng))
+        _assert_conjugator(G, x, y, find(y))
+        same_type = (z for z in (_random_element(G, rng) for _ in range(50)) if cycle_lengths(z) == cycle_lengths(x))
+        z = next(same_type, None)
+        if z is not None:
+            g = find(z)
+            if orbit_walk_conjugates(G, x, [z]):
+                _assert_conjugator(G, x, z, g)
+            else:
+                assert g is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_conjugator_search_random_groups(data):
+    """Random groups of degree <= 8, x and h random permutations of the
+    points: x^g for g in G is found, and x^h is found exactly when the
+    orbit-walk oracle finds it; _conjugates_among, group rules included,
+    agrees with the oracle on both."""
+    n = data.draw(st.integers(1, 8))
+    perm = st.permutations(range(n)).map(tuple)
+    G = group_from_generators(data.draw(st.lists(perm, max_size=3)), n)
+    x, h = data.draw(perm), data.draw(perm)
+    y = conjugate(x, _random_element(G, data.draw(st.randoms(use_true_random=False))))
+    z = conjugate(x, h)
+    find = _conjugator_search(G, x)
+    _assert_conjugator(G, x, y, find(y))
+    if orbit_walk_conjugates(G, x, [z]):
+        _assert_conjugator(G, x, z, find(z))
+    else:
+        assert find(z) is None
+    assert _conjugates_among(G, x, [y, z]) == orbit_walk_conjugates(G, x, [y, z])
+
+
+def test_conjugator_certificate_raises(monkeypatch, capsys):
+    """A search that returns a wrong conjugator is caught by the check
+    after it, also under python -O, and a run exits 5."""
+    real = permcore._conjugator_search
+
+    def corrupted(G, x):
+        find = real(G, x)
+        return lambda y: None if find(y) is None else identity(G.degree)
+
+    monkeypatch.setattr(permcore, "_conjugator_search", corrupted)
+    G = load_group("M10")
+    x = next(g for g in G.generators if perm_order(g) > 1)
+    y = next(conjugate(x, g) for g in G.generators if conjugate(x, g) != x)
+    with pytest.raises(CertificateError, match="does not conjugate"):
+        is_conjugate(G, x, y)
+    assert main(["run", "--group", "M10"]) == EXIT_CERTIFICATE
+    assert "certificate failed: fusion: " in capsys.readouterr().err
