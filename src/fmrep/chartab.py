@@ -103,6 +103,11 @@ def character_table(S: PermGroup) -> CharacterTable:
             q = mul(q, r)
         power_class.append(tuple(row))
 
+    # per element order o: the powers of a primitive o-th root of unity mod ell, and 1/o
+    roots = {
+        o: ([pow(z_e, exponent // o * t, ell) for t in range(o)], pow(o, ell - 2, ell))
+        for o in set(order_of)
+    }
     rows = []
     for v in omegas:
         inv_v0 = pow(v[0], ell - 2, ell)
@@ -114,17 +119,11 @@ def character_table(S: PermGroup) -> CharacterTable:
         row = []
         for j in range(k):
             o = order_of[j]
-            z_o = pow(z_e, exponent // o, ell)
-            inv_o = pow(o, ell - 2, ell)
+            z_o, inv_o = roots[o]
             # mults[m]: multiplicity of zeta_o^m among the eigenvalues at class j
             mults = [
-                sum(
-                    chi_mod[power_class[j][t]] * pow(z_o, -m_exp * t % (ell - 1), ell)
-                    for t in range(o)
-                )
-                * inv_o
-                % ell
-                for m_exp in range(o)
+                sum(chi_mod[c] * z_o[-m * t % o] for t, c in enumerate(power_class[j])) * inv_o % ell
+                for m in range(o)
             ]
             if max(mults) > degree:
                 raise CertificateError("eigenvalue multiplicity lift out of range")

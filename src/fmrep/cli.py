@@ -277,6 +277,10 @@ def main(argv=None):
         prime = args.prime if args.prime is not None else default_prime
         if prime is None:
             raise InputError("--prime is required for file-based groups")
+        # before the primality test, whose trial division of a huge prime takes
+        # minutes; with --partition, the trivial group is a p-group for every p
+        if prime > 1 and G.order % prime and (not args.partition or G.order > 1):
+            raise InputError(f"{prime} does not divide the group order {G.order}")
         if not is_prime(prime):
             raise InputError(f"{prime} is not prime")
         partition = read_partition_file(args.partition) if args.partition else None

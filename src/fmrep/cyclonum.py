@@ -30,6 +30,7 @@ __all__ = [
     "euler_phi",
     "prime_divisors",
     "cyclotomic_polynomial",
+    "signed_sum",
 ]
 
 
@@ -218,29 +219,26 @@ class Cyclotomic:
     # -- display ------------------------------------------------------------
 
     def __str__(self):
-        if self.n == 1:
-            return str(self.coeffs[0])
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                parts.append((c, str(abs(c))))
-            else:
-                mono = f"E({self.n})^{i}"
-                if abs(c) != 1:
-                    mono = f"{abs(c)}*{mono}"
-                parts.append((c, mono))
-        out = ""
-        for sign_src, text in parts:
-            if not out:
-                out = ("-" if sign_src < 0 else "") + text
-            else:
-                out += (" - " if sign_src < 0 else " + ") + text
-        return out or "0"
+        return signed_sum((c, f"E({self.n})^{i}" if i else "") for i, c in enumerate(self.coeffs))
 
     def __repr__(self):
         return f"Cyclotomic({self})"
+
+
+def signed_sum(terms):
+    """Text of a sum over (coefficient, name) terms, e.g. "2 - E(8)^1 +
+    3*E(8)^2": zero terms are left out, a coefficient 1 is not written,
+    and an empty name is the constant term.  No terms give "0"."""
+    out = ""
+    for c, name in terms:
+        if not c:
+            continue
+        text = f"{abs(c)}*{name}" if name and abs(c) != 1 else name or str(abs(c))
+        if out:
+            out += (" - " if c < 0 else " + ") + text
+        else:
+            out = ("-" if c < 0 else "") + text
+    return out or "0"
 
 
 def _canonicalize(n, coeffs):

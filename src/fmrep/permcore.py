@@ -372,8 +372,6 @@ def trivial_group(degree):
 SYLOW_STREAM_CAP = 2 * 10**6
 # Most nodes one conjugacy search of a fusion decision builds.
 CONJUGACY_CAP = 10**6
-# Largest group whose classes class_partition enumerates.
-CLASS_CAP = 10**5
 
 
 def is_prime(n):
@@ -388,20 +386,28 @@ def _p_part(n, p):
     return e
 
 
-def _lex_chain(G):
-    """Stabilizer chain of G with base 0, 1, ..., n-1, nontrivial levels
-    only: (b, {point: q -> mul(u, q)}) per level, where b is the least
-    point moved by the stabilizer H of 0..b-1 and u in H maps b to
-    point."""
+def _lex_chain(gens, degree, order):
+    """Stabilizer chain of the group of this order that gens generate,
+    with a lex base: (b_i, {point: q -> mul(u, q)}) per nontrivial
+    level, where b_i is the least point moved by the stabilizer H_i of
+    b_0, ..., b_(i-1) and u in H_i maps b_i to point.  So b_0 < b_1 < ...,
+    and H_i fixes every point before b_i.
+
+    The levels come from one PermGroup._of_order run; a level whose base
+    point is not b_i is rebuilt from the strong generators of H_i, one
+    that moves b_i first.
+    """
     levels = []
-    H = G
-    while H.order > 1:
-        b = H.moved_points()[0]
-        if H.base[0] != b:
-            # a generator that moves b first makes b the first base point
-            H = PermGroup(sorted(H.generators, key=lambda g: g[b] == b), H.degree)
-        levels.append((b, {pt: _left(u) for pt, u in H._transversals[0].items()}))
-        H = PermGroup(H._strong[1] if len(H.base) > 1 else [], H.degree)
+    H, l = None, 0
+    while order > 1:
+        strong = gens if H is None else H._strong[l]
+        b = min(next((i for i, j in enumerate(g) if i != j), degree) for g in strong)
+        if H is None or H.base[l] != b:
+            H, l = PermGroup._of_order(sorted(strong, key=lambda g: g[b] == b), degree, order), 0
+        trans = H._transversals[l]
+        levels.append((b, {pt: _left(u) for pt, u in trans.items()}))
+        order //= len(trans)
+        l += 1
     return levels
 
 
@@ -428,7 +434,7 @@ def _lex_p_elements(G, p, limit):
     """
     n = G.degree
     ident = identity(n)
-    levels = _lex_chain(G)
+    levels = _lex_chain(G.generators, n, G.order)
     ends = [b for b, _ in levels[1:]] + [n]
     stack = [(ident, 0)]
     built = 1
@@ -564,10 +570,8 @@ def class_partition(S):
 
     Classes are ordered canonically: by element order, then class size,
     then lexicographically minimal representative (so the identity class
-    is always first).  Raises CapExceeded when |S| > CLASS_CAP.
+    is always first).
     """
-    if S.order > CLASS_CAP:
-        raise CapExceeded(f"group order {S.order} exceeds class enumeration cap {CLASS_CAP}")
     remaining = set(S.elements())
     orbits = []
     for x in sorted(remaining):
@@ -617,31 +621,28 @@ def _conjugator_search(G, x):
     """find(y) -> some g in G with conjugate(x, g) == y, or None.
 
     Set-up, once per x: relabel the points so that x's cycles are
-    consecutive runs, longest first, and build one PermGroup H of the
-    relabelled generators, one that moves point 0 first.  H takes least
-    moved points as its base, so the base starts at 0 and follows x's
-    cycles, and most base points find their x-preimage already fixed.
+    consecutive runs, longest first, and take the _lex_chain of the
+    relabelled generators.  Its base points b_0 < b_1 < ... then follow
+    x's cycles, and most base points find their x-preimage before them.
 
-    find walks H's stabilizer chain depth first.  A node at depth d is a
-    coset map c: every element below it agrees with c on F_d, the points
-    that the stabilizer of the first d base points fixes (F_0 is the
-    fixed set of H; at the last depth F is every point).  Its children
-    are u * c for the transversal elements u of level d; the child maps
-    the base point b to c[u[b]].
+    find walks that chain depth first.  A node at depth d is a coset map
+    c: every element below it agrees with c on the points before b_d
+    (the stabilizer H_d fixes them; at the last depth b_d is the degree).
+    Its children are u * c for the transversal elements u of level d;
+    the child maps b = b_d to c[u[b]].
 
     g conjugates x to y exactly when y[g[i]] = g[x[i]] for every point i.
-    - Forced child: if x^-1(b) lies in F_d, every conjugator g below c
-      has g(b) = y(c(x^-1 b)), so at most one child is kept, by lookup.
+    - Forced child: if x^-1(b) < b, every conjugator g below c has
+      g(b) = y(c(x^-1 b)), so at most one child is kept, by lookup.
     - Otherwise a conjugator maps b's x-cycle onto a y-cycle of the same
       length, so only children that send b onto such a y-cycle are kept.
-    - A node at depth d is checked on the points of F_d that F_(d-1) does
-      not hold: their x-cycle length against the y-cycle length of their
-      image, and y[g[i]] = g[x[i]] for every pair (i, x[i]) with one end
-      among them and both in F_d (the root is checked on F_0).
-    Every element below a node agrees with it on F_d, so a failed check
-    rules out every element below it, and the pruning loses no
-    conjugator.  Each pair (i, x[i]) is checked at the depth where its
-    later end enters F, and a leaf has F = every point, so a leaf is a
+    - A node at depth d is checked on the window [b_(d-1), b_d) (the
+      root on [0, b_0)): the x-cycle length of each point there against
+      the y-cycle length of its image, and y[g[i]] = g[x[i]] for every
+      pair (i, x[i]) whose later end lies there.
+    Every element below a node agrees with it before b_d, so a failed
+    check rules out every element below it, and the pruning loses no
+    conjugator.  The windows cover every point, so a leaf is a
     conjugator.
 
     Raises CapExceeded once one find builds more than CONJUGACY_CAP
@@ -655,31 +656,24 @@ def _conjugator_search(G, x):
     def relabel(p):  # p with its points renamed
         return _left(pick(p))(pos)
 
-    gens = sorted((relabel(g) for g in G.generators), key=lambda g: g[0] == 0)
-    H = PermGroup._of_order(gens, n, G.order)
+    levels = _lex_chain([relabel(g) for g in G.generators], n, G.order)
     xr = relabel(x)
     xinv = inverse(xr)
     xlen = _cycle_length_map(xr)
-    fixed = [{i for i in range(n) if all(s[i] == i for s in strong)} for strong in H._strong]
-    fixed.append(set(range(n)))
-    checks, held = [], set()
-    for F in fixed:
-        new = F - held
-        pairs = [(i, xr[i]) for i in range(n) if (i in new or xr[i] in new) and i in F and xr[i] in F]
-        checks.append((sorted(new), pairs))
-        held = F
-    levels = [
-        (b, {pt: _left(u) for pt, u in trans.items()}, xinv[b] in F)
-        for b, trans, F in zip(H.base, H._transversals, fixed)
+    bounds = [0] + [b for b, _ in levels] + [n]
+    checks = [
+        (range(lo, hi), [(i, xr[i]) for i in range(n) if lo <= max(i, xr[i]) < hi])
+        for lo, hi in zip(bounds, bounds[1:])
     ]
+    levels = [(b, left, xinv[b] < b) for b, left in levels]
 
     def find(y):
         yr = relabel(y)
         ylen = _cycle_length_map(yr)
 
         def passes(g, d):
-            new, pairs = checks[d]
-            return all(ylen[g[j]] == xlen[j] for j in new) and all(yr[g[i]] == g[j] for i, j in pairs)
+            window, pairs = checks[d]
+            return all(ylen[g[j]] == xlen[j] for j in window) and all(yr[g[i]] == g[j] for i, j in pairs)
 
         root = identity(n)
         if not passes(root, 0):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .chartab import CharacterTable
-from .cyclonum import rational_coordinates
+from .cyclonum import rational_coordinates, signed_sum
 from .fusion import FusionPattern
 from .intlin import (
     hermite_normal_form,  # noqa: F401  (traced by perfbench/bench_trace.py)
@@ -117,19 +117,4 @@ def rep_lattice(pattern: FusionPattern, table: CharacterTable) -> RepLattice:
 def format_virtual(v, names=None):
     """Signed combination of irreducible labels, e.g. "-r2 - r3 + 2*r6";
     names[j], when given, replaces the label r(j+1)."""
-    parts = []
-    for j, c in enumerate(v):
-        if not c:
-            continue
-        name = names[j] if names else f"r{j + 1}"
-        mono = name if abs(c) == 1 else f"{abs(c)}*{name}"
-        parts.append((c, mono))
-    if not parts:
-        return "0"
-    out = ""
-    for c, mono in parts:
-        if not out:
-            out = ("-" if c < 0 else "") + mono
-        else:
-            out += (" - " if c < 0 else " + ") + mono
-    return out
+    return signed_sum((c, names[j] if names else f"r{j + 1}") for j, c in enumerate(v))

@@ -153,11 +153,26 @@ def test_exit_code_failed_table_certificate(monkeypatch, capsys):
 def test_exit_code_bad_prime(capsys):
     code, _, err = run_cli(capsys, "run", "--group", "S4", "--prime", "6")
     assert code == EXIT_INPUT
+    assert "6 is not prime" in err
 
 
 def test_exit_code_prime_not_dividing(capsys):
     code, _, err = run_cli(capsys, "run", "--group", "S4", "--prime", "7")
     assert code == EXIT_INPUT
+
+
+def test_exit_code_huge_prime_not_dividing(monkeypatch, capsys):
+    """A prime that does not divide |G| is rejected before the primality
+    test, whose trial division would take minutes at this size."""
+    import fmrep.cli
+
+    def no_trial_division(n):
+        raise AssertionError(f"is_prime({n}) called")
+
+    monkeypatch.setattr(fmrep.cli, "is_prime", no_trial_division)
+    code, _, err = run_cli(capsys, "run", "--group", "S4", "--prime", "1000000000000000003")
+    assert code == EXIT_INPUT
+    assert "1000000000000000003 does not divide the group order 24" in err
 
 
 def test_exit_code_stretch_guard(capsys):

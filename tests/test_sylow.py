@@ -16,6 +16,7 @@ from fmrep.catalog import CATALOG, load_group
 from fmrep.permcore import (
     CapExceeded,
     CertificateError,
+    _lex_chain,
     _lex_p_elements,
     _p_order,
     conjugate,
@@ -82,6 +83,28 @@ def test_walk_yields_p_elements_in_lex_order(name, G):
         walked = list(_lex_p_elements(G, p, p_limit(G, p)))
         assert [x for x, _ in walked] == sorted(x for x in G.elements() if is_p_element(x, p))
         assert all(order == perm_order(x) for x, order in walked)
+
+
+@pytest.mark.parametrize("name,G", WALKED, ids=[n for n, _ in WALKED])
+def test_lex_chain_has_lex_base(name, G):
+    """The chain both searches walk, on G and on G with its points
+    relabelled: base points increase, the level-i transversal fixes every
+    point before b_i and maps b_i to its key, and the transversal sizes
+    multiply to |G|."""
+    sigma = list(range(G.degree))
+    random.Random(name).shuffle(sigma)
+    ident = identity(G.degree)
+    for gens in (G.generators, [conjugate(g, tuple(sigma)) for g in G.generators]):
+        levels = _lex_chain(gens, G.degree, G.order)
+        bases = [b for b, _ in levels]
+        assert bases == sorted(set(bases))
+        size = 1
+        for b, left in levels:
+            for pt, u in left.items():
+                u = u(ident)
+                assert u[b] == pt and all(u[i] == i for i in range(b))
+            size *= len(left)
+        assert size == G.order
 
 
 # -- same subgroup as the full scan -------------------------------------------
