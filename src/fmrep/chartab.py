@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import isqrt, lcm
+import operator
 
 from .cyclonum import Cyclotomic, from_rational, prime_divisors
 from .cyclonum import zeta  # noqa: F401  (traced by perfbench/bench_trace.py)
@@ -22,6 +23,7 @@ from .permcore import (
     CapExceeded,
     CertificateError,
     PermGroup,
+    _left,
     class_partition,
     identity,
     inverse,
@@ -30,6 +32,7 @@ from .permcore import (
 )
 
 SIZE_CAP = 10**4
+CLASS_COUNT_CAP = 300
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,8 @@ def character_table(S: PermGroup) -> CharacterTable:
         raise CapExceeded(f"group order {S.order} exceeds table cap {SIZE_CAP}")
     classes, lookup = class_partition(S)
     k = len(classes)
+    if k > CLASS_COUNT_CAP:
+        raise CapExceeded(f"class count {k} exceeds table cap {CLASS_COUNT_CAP}")
     reps = [c.representative for c in classes]
     sizes = [c.size for c in classes]
     exponent = 1
@@ -103,11 +108,14 @@ def character_table(S: PermGroup) -> CharacterTable:
             q = mul(q, r)
         power_class.append(tuple(row))
 
-    # per element order o: the powers of a primitive o-th root of unity mod ell, and 1/o
-    roots = {
-        o: ([pow(z_e, exponent // o * t, ell) for t in range(o)], pow(o, ell - 2, ell))
-        for o in set(order_of)
-    }
+    # per element order o: the inverse Fourier matrix [z^(-m*t) / o] mod ell, z = zeta_o
+    fourier = {}
+    for o in set(order_of):
+        z, inv_o = [pow(z_e, exponent // o * t, ell) for t in range(o)], pow(o, ell - 2, ell)
+        fourier[o] = [[z[-m * t % o] * inv_o % ell for t in range(o)] for m in range(o)]
+    # chi(x), x of order o, is fixed by chis = chi mod ell at x^0, ..., x^(o-1),
+    # so each distinct chis is lifted, certified and printed once per table
+    values = {}
     rows = []
     for v in omegas:
         inv_v0 = pow(v[0], ell - 2, ell)
@@ -118,34 +126,34 @@ def character_table(S: PermGroup) -> CharacterTable:
         chi_mod = [degree * v[j] * inv_sizes[j] % ell for j in range(k)]
         row = []
         for j in range(k):
-            o = order_of[j]
-            z_o, inv_o = roots[o]
-            # mults[m]: multiplicity of zeta_o^m among the eigenvalues at class j
-            mults = [
-                sum(chi_mod[c] * z_o[-m * t % o] for t, c in enumerate(power_class[j])) * inv_o % ell
-                for m in range(o)
-            ]
-            if max(mults) > degree:
-                raise CertificateError("eigenvalue multiplicity lift out of range")
-            if sum(mults) != degree:
-                raise CertificateError("eigenvalue multiplicities do not sum to the degree")
-            row.append(Cyclotomic(o, mults))
-        if row[0] != degree:
-            raise CertificateError(f"lifted degree {row[0]} is not {degree}")
+            chis = tuple(map(chi_mod.__getitem__, power_class[j]))
+            if chis not in values:
+                # mults[m]: multiplicity of zeta_o^m among the eigenvalues at class j;
+                # chis[0] = chi(1) is the degree
+                mults = [sum(map(operator.mul, chis, f)) % ell for f in fourier[len(chis)]]
+                if max(mults) > chis[0]:
+                    raise CertificateError("eigenvalue multiplicity lift out of range")
+                if sum(mults) != chis[0]:
+                    raise CertificateError("eigenvalue multiplicities do not sum to the degree")
+                value = Cyclotomic(len(chis), mults)
+                values[chis] = (value, str(value))
+            row.append(values[chis])
+        if row[0][0] != degree:
+            raise CertificateError(f"lifted degree {row[0][0]} is not {degree}")
         rows.append(row)
 
-    if sum(r[0].rational_value() ** 2 for r in rows) != S.order:
+    if sum(r[0][0].rational_value() ** 2 for r in rows) != S.order:
         raise CertificateError(f"squared degrees do not sum to |S| = {S.order}")
-    rows.sort(key=lambda r: (r[0].rational_value(), tuple(str(v) for v in r)))
-    table = CharacterTable(
+    rows.sort(key=lambda r: (r[0][0].rational_value(), tuple(text for _, text in r)))
+    rows = [tuple(value for value, _ in r) for r in rows]
+    return CharacterTable(
         group=S,
         classes=tuple(classes),
-        chars=tuple(tuple(r) for r in rows),
+        chars=tuple(rows),
         degrees=tuple(int(r[0].rational_value()) for r in rows),
         exponent=exponent,
         power_class=tuple(power_class),
     )
-    return table
 
 
 # ------------------------------------------------------------ internals
@@ -171,59 +179,98 @@ def _primitive_root(ell):
     for g in range(2, ell):
         if all(pow(g, (ell - 1) // f, ell) != 1 for f in factors):
             return g
-    raise AssertionError
+    raise CertificateError(f"no primitive root mod {ell}")
 
 
-def _rref_mod(rows, ell):
-    """Reduced row echelon form mod ell; returns (rows, pivot_cols)."""
-    rows = [list(r) for r in rows]
+def _rref_mod(rows, ell, reduce_above=True):
+    """(Reduced, if reduce_above) row echelon form mod ell; returns (rows, pivot_cols)."""
+    rows = [[x % ell for x in r] for r in rows]
     pivots = []
     r = 0
     for c in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] % ell), None)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
+        # rows r, r+1, ... are zero left of column c, so only columns c, c+1, ... change
         inv = pow(rows[r][c], ell - 2, ell)
-        rows[r] = [x * inv % ell for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % ell:
+        pivot_row = rows[r][c:] = [x * inv % ell for x in rows[r][c:]]
+        for i in range(0 if reduce_above else r + 1, len(rows)):
+            if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [(x - f * y) % ell for x, y in zip(rows[i], rows[r])]
+                rows[i][c:] = [(x - f * y) % ell for x, y in zip(rows[i][c:], pivot_row)]
         pivots.append(c)
         r += 1
     return rows[:r], pivots
 
 
 def _nullspace_mod(M, ell):
-    """Basis of {y : M*y = 0 mod ell} for square M, via RREF of M."""
+    """Basis of {y : M*y = 0 mod ell} for square M, one vector per free column
+    (1 there, 0 at the others), by row echelon form and back substitution."""
     n = len(M)
-    rref, pivots = _rref_mod(M, ell)
-    free = [c for c in range(n) if c not in pivots]
+    echelon, pivots = _rref_mod(M, ell, reduce_above=False)
+    # last pivot first: its column, and the columns and values of the nonzero entries right of it
+    tails = [(pc, [j for j in range(pc + 1, n) if row[j]], row) for row, pc in zip(echelon, pivots)]
+    tails = [(pc, cols, [row[j] for j in cols]) for pc, cols, row in reversed(tails)]
     basis = []
-    for fc in free:
+    for fc in (c for c in range(n) if c not in pivots):
         y = [0] * n
         y[fc] = 1
-        for row, pc in zip(rref, pivots):
-            y[pc] = (-row[fc]) % ell
+        for pc, cols, values in tails:
+            y[pc] = -sum(map(operator.mul, values, map(y.__getitem__, cols))) % ell
         basis.append(y)
     return basis
 
 
 def _combination(coeffs, rows, ell):
     """sum_t coeffs[t] * rows[t] mod ell."""
-    vec = [0] * len(rows[0])
+    vec = None
     for c, row in zip(coeffs, rows):
         if c:
-            vec = [v + c * x for v, x in zip(vec, row)]
-    return [v % ell for v in vec]
+            vec = [c * x for x in row] if vec is None else [v + c * x for v, x in zip(vec, row)]
+    return [v % ell for v in vec] if vec else [0] * len(rows[0])
 
 
 def _class_matrix(elements, reps, lookup):
     """Class matrix (A_i)[j][m] = #{x in C_i : x^-1 z_m in C_j} of the
     class C_i = `elements`, as the nonzero (j, count) pairs of each column m."""
-    inverses = [inverse(x) for x in elements]
-    return [tuple(Counter(lookup[mul(y, z)] for y in inverses).items()) for z in reps]
+    products = [_left(inverse(x)) for x in elements]
+    return [tuple(Counter(lookup[y_times(z)] for y_times in products).items()) for z in reps]
+
+
+def _charpoly_mod(M, ell):
+    """Coefficients of det(xI - M) mod ell, leading term first, for square M:
+    a Hessenberg form H of M by similarity, then the leading principal minors
+    p_m of xI - H by the Hessenberg recurrence; O(n^3).  With h = H, 1-based,
+    p_m = (x - h_mm) p_(m-1) - sum_i h_(m-i,m) h_(m,m-1) ... h_(m-i+1,m-i) p_(m-i-1)."""
+    n = len(M)
+    H = [[x % ell for x in row] for row in M]
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if H[i][j]), None)
+        if piv is None:
+            continue
+        H[piv], H[j + 1] = H[j + 1], H[piv]
+        for row in H:
+            row[piv], row[j + 1] = row[j + 1], row[piv]
+        inv = pow(H[j + 1][j], ell - 2, ell)
+        for i in range(j + 2, n):
+            u = H[i][j] * inv % ell
+            if u:  # row i -= u * row j+1, then column j+1 += u * column i
+                H[i] = [(a - u * b) % ell for a, b in zip(H[i], H[j + 1])]
+                for row in H:
+                    row[j + 1] = (row[j + 1] + u * row[i]) % ell
+    p = [[1]]
+    for m in range(1, n + 1):
+        q = [a - H[m - 1][m - 1] * b for a, b in zip(p[m - 1] + [0], [0] + p[m - 1])]
+        sub = 1
+        for i in range(1, m):
+            sub = sub * H[m - i][m - i - 1] % ell
+            if not sub:
+                break
+            f = H[m - 1 - i][m - 1] * sub
+            q[i + 1:] = [a - f * b for a, b in zip(q[i + 1:], p[m - 1 - i])]
+        p.append([c % ell for c in q])
+    return p[n]
 
 
 def _split_eigenvectors(class_elements, reps, lookup, ell):
@@ -231,14 +278,13 @@ def _split_eigenvectors(class_elements, reps, lookup, ell):
 
     Each eigenspace is kept as RREF rows with their pivot columns.  A
     class matrix is built only when the split reaches it, and restricted
-    to every eigenspace of dimension > 1; the eigenspace is split by the
-    lambda scan only when that restriction is not scalar, since a scalar
-    restriction has the whole eigenspace, in the same RREF rows, as its
-    one eigenspace.
+    to every eigenspace of dimension > 1.  A scalar restriction keeps the
+    whole eigenspace, in the same RREF rows.  Otherwise the eigenvalues
+    are the roots in F_ell of the restriction's characteristic
+    polynomial, and each root's eigenspace is one nullspace.
     """
     k = len(reps)
-    full = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    spaces = [(_rref_mod(full, ell))]
+    spaces = [_rref_mod([[int(i == j) for j in range(k)] for i in range(k)], ell)]
     for idx in range(1, k):
         if all(len(rows) == 1 for rows, _ in spaces):
             break
@@ -265,16 +311,20 @@ def _split_eigenvectors(class_elements, reps, lookup, ell):
             if X == [[X[0][0] if t == s else 0 for s in range(dim)] for t in range(dim)]:
                 new_spaces.append((rows, pivots))
                 continue
-            # the left eigenvectors of X for lam span the nullspace of X^T - lam*I
+            # the left eigenvectors of X for a root lam span the nullspace of X^T - lam*I
+            values = [0] * ell  # Horner, at every lam in F_ell at once
+            for c in _charpoly_mod(X, ell):
+                values = [(v * lam + c) % ell for lam, v in enumerate(values)]
             Xt = [list(col) for col in zip(*X)]
-            for lam in range(ell):
-                shifted = [
-                    row[:t] + [(row[t] - lam) % ell] + row[t + 1:] for t, row in enumerate(Xt)
-                ]
+            for lam in (lam for lam, v in enumerate(values) if not v):
+                shifted = [row[:t] + [(row[t] - lam) % ell] + row[t + 1:]
+                           for t, row in enumerate(Xt)]
                 ys = _nullspace_mod(shifted, ell)
                 if not ys:
-                    continue
-                new_spaces.append(_rref_mod([_combination(y, rows, ell) for y in ys], ell))
+                    raise CertificateError(f"root {lam} of a restriction has no eigenvector")
+                # a k-dim eigenspace is all of F_ell^k, with the identity as its basis
+                basis = ys if dim == k else [_combination(y, rows, ell) for y in ys]
+                new_spaces.append(_rref_mod(basis, ell))
         spaces = new_spaces
     if any(len(rows) != 1 for rows, _ in spaces):
         raise CertificateError("class matrices do not split F_ell^k into lines")

@@ -9,6 +9,11 @@ Its class matrices come from class_matrices, which builds each one
 densely from the definition; the tests also check the eigenvectors of
 the sparse split in fmrep.chartab against them mod ell.
 
+The eigenvector oracle is the split fmrep.chartab used before it took
+eigenvalues from the characteristic polynomial: it scans every lambda
+in F_ell and solves one nullspace, by reduced row echelon form, for
+each, keeping the nonzero ones.
+
 The factorization oracle enumerates, by exhaustive search, every way of
 writing a monoid element as a sum of atoms.
 
@@ -153,6 +158,53 @@ def class_matrices(S):
                 A[lookup[mul(inverse(x), c.representative)]][m] += 1
         mats.append(A)
     return mats
+
+
+def lambda_scan_eigenvectors(class_elements, reps, lookup, ell):
+    """Common eigenvectors of the class matrices over F_ell, as the sorted
+    list that fmrep.chartab._split_eigenvectors returns: each eigenspace of
+    dimension > 1 with a non-scalar restriction X is split by trying every
+    lambda in F_ell as an eigenvalue of X."""
+    from fmrep.chartab import _class_matrix, _combination, _rref_mod
+
+    def nullspace(M):
+        rref, pivots = _rref_mod(M, ell)
+        basis = []
+        for fc in (c for c in range(len(M)) if c not in pivots):
+            y = [0] * len(M)
+            y[fc] = 1
+            for row, pc in zip(rref, pivots):
+                y[pc] = -row[fc] % ell
+            basis.append(y)
+        return basis
+
+    k = len(reps)
+    spaces = [_rref_mod([[int(i == j) for j in range(k)] for i in range(k)], ell)]
+    for idx in range(1, k):
+        if all(len(rows) == 1 for rows, _ in spaces):
+            break
+        A = _class_matrix(class_elements[idx], reps, lookup)
+        new_spaces = []
+        for rows, pivots in spaces:
+            dim = len(rows)
+            X = []
+            for b in rows:
+                img = [0] * k
+                for x, col in zip(b, A):
+                    for r, a in col:
+                        img[r] += a * x
+                X.append([img[pc] % ell for pc in pivots])
+            if X == [[X[0][0] * (t == s) for s in range(dim)] for t in range(dim)]:
+                new_spaces.append((rows, pivots))
+                continue
+            Xt = [list(col) for col in zip(*X)]
+            for lam in range(ell):
+                ys = nullspace([[(x - lam * (s == t)) % ell for s, x in enumerate(row)]
+                                for t, row in enumerate(Xt)])
+                if ys:
+                    new_spaces.append(_rref_mod([_combination(y, rows, ell) for y in ys], ell))
+        spaces = new_spaces
+    return sorted(rows[0] for rows, _ in spaces)
 
 
 def _power(p, t):

@@ -1,3 +1,5 @@
+import random
+import time
 from dataclasses import replace
 from math import lcm
 
@@ -8,10 +10,22 @@ from fmrep import chartab
 from fmrep.catalog import CATALOG
 from fmrep.chartab import character_table
 from fmrep.cyclonum import from_rational, zeta
-from fmrep.permcore import CertificateError, class_partition, group_from_generators, parse_perm
+from fmrep.permcore import (
+    CapExceeded,
+    CertificateError,
+    class_partition,
+    group_from_generators,
+    parse_perm,
+)
 
 from .groups_zoo import all_groups_up_to_16, sylow_products
-from .oracles import character_of, class_matrices, inner_product, numeric_character_table
+from .oracles import (
+    character_of,
+    class_matrices,
+    inner_product,
+    lambda_scan_eigenvectors,
+    numeric_character_table,
+)
 
 Z3 = group_from_generators([parse_perm("(1,2,3)", 3)])
 D8 = group_from_generators([parse_perm("(1,2,3,4)", 4), parse_perm("(1,3)", 4)])
@@ -130,18 +144,34 @@ def test_against_numeric_oracle_sylow_products(name, G):
     assert list(character_table(G).chars) == numeric_character_table(G)
 
 
+def _split_inputs(G):
+    classes, lookup = class_partition(G)
+    k = len(classes)
+    ell = chartab._dixon_prime(lcm(*(c.element_order for c in classes)), G.order)
+    return chartab._class_elements(G, lookup, k), [c.representative for c in classes], lookup, ell
+
+
+@pytest.mark.parametrize("name,G", all_groups_up_to_16() + sylow_products())
+def test_split_matches_lambda_scan(name, G):
+    args = _split_inputs(G)
+    assert chartab._split_eigenvectors(*args) == lambda_scan_eigenvectors(*args)
+
+
+@pytest.mark.parametrize("name", [n for n, e in CATALOG.items() if e.tier == "fast"])
+def test_split_matches_lambda_scan_catalog_sylow(name, pipelines):
+    args = _split_inputs(pipelines.run(name)[1])
+    assert chartab._split_eigenvectors(*args) == lambda_scan_eigenvectors(*args)
+
+
 @pytest.mark.parametrize("name,G", all_groups_up_to_16() + sylow_products())
 def test_split_gives_common_eigenvectors(name, G):
     """Every vector of the split is an eigenvector mod ell of every dense
     class matrix built from the definition, and the k vectors are
     independent."""
-    classes, lookup = class_partition(G)
-    k = len(classes)
-    ell = chartab._dixon_prime(lcm(*(c.element_order for c in classes)), G.order)
-    vecs = chartab._split_eigenvectors(
-        chartab._class_elements(G, lookup, k), [c.representative for c in classes], lookup, ell
-    )
-    assert len(chartab._rref_mod(vecs, ell)[0]) == k
+    args = _split_inputs(G)
+    ell = args[-1]
+    vecs = chartab._split_eigenvectors(*args)
+    assert len(chartab._rref_mod(vecs, ell)[0]) == len(vecs) == len(args[1])
     V = np.array(vecs, dtype=np.int64)
     for A in class_matrices(G):
         images = V @ np.array(A, dtype=np.int64).T % ell
@@ -220,3 +250,166 @@ def test_trivial_index_certificate():
     rows = tuple(r for r in T.chars if any(v != 1 for v in r))
     with pytest.raises(CertificateError, match="no trivial character"):
         replace(T, chars=rows).trivial_index
+
+
+def test_root_without_eigenvector_certificate(monkeypatch):
+    # a linear factor x - lam at a lam that is no eigenvalue makes lam a root
+    # whose nullspace is empty
+    real = chartab._charpoly_mod
+
+    def with_false_root(M, ell):
+        poly = real(M, ell)
+        lam = next(x for x in range(ell) if _evaluate(poly, x, ell))
+        return [(a - lam * b) % ell for a, b in zip(poly + [0], [0] + poly)]
+
+    monkeypatch.setattr(chartab, "_charpoly_mod", with_false_root)
+    with pytest.raises(CertificateError, match="has no eigenvector"):
+        character_table(D8)
+
+
+def test_primitive_root_certificate(monkeypatch):
+    # with 1 among the prime divisors of ell - 1 no g passes the test
+    monkeypatch.setattr(chartab, "prime_divisors", lambda n: [1])
+    with pytest.raises(CertificateError, match="no primitive root mod 7"):
+        chartab._primitive_root(7)
+
+
+# -- characteristic polynomial ------------------------------------------------
+
+
+def _evaluate(poly, x, ell):
+    value = 0
+    for c in poly:
+        value = (value * x + c) % ell
+    return value
+
+
+def _matmul(A, B, ell):
+    return [[sum(a * b for a, b in zip(row, col)) % ell for col in zip(*B)] for row in A]
+
+
+def _poly_at_matrix(poly, M, ell):
+    """poly(M) mod ell by Horner on matrices."""
+    n = len(M)
+    P = [[0] * n for _ in range(n)]
+    for c in poly:
+        P = _matmul(P, M, ell)
+        for i in range(n):
+            P[i][i] = (P[i][i] + c) % ell
+    return P
+
+
+def _singular(M, ell):
+    return len(chartab._rref_mod(M, ell)[0]) < len(M)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 37, 41])
+def test_charpoly_cayley_hamilton(ell):
+    rnd = random.Random(ell)
+    for n in range(1, 9):
+        for _ in range(4):
+            M = [[rnd.randrange(ell) for _ in range(n)] for _ in range(n)]
+            poly = chartab._charpoly_mod(M, ell)
+            assert len(poly) == n + 1 and poly[0] == 1
+            assert _poly_at_matrix(poly, M, ell) == [[0] * n for _ in range(n)]
+
+
+@pytest.mark.parametrize("ell", [2, 3, 37, 41])
+def test_charpoly_of_companion_matrix(ell):
+    rnd = random.Random(100 + ell)
+    for n in range(1, 9):
+        poly = [1] + [rnd.randrange(ell) for _ in range(n)]
+        # companion matrix of x^n + poly[1] x^(n-1) + ... + poly[n]
+        C = [[int(i == j + 1) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            C[i][n - 1] = -poly[n - i] % ell
+        assert chartab._charpoly_mod(C, ell) == poly
+
+
+@pytest.mark.parametrize("ell", [3, 37])
+def test_charpoly_roots_are_the_eigenvalues(ell):
+    rnd = random.Random(200 + ell)
+    for n in range(1, 6):
+        for _ in range(6):
+            M = [[rnd.randrange(ell) for _ in range(n)] for _ in range(n)]
+            poly = chartab._charpoly_mod(M, ell)
+            for lam in range(ell):
+                shifted = [[(x - lam * (i == j)) % ell for j, x in enumerate(row)]
+                           for i, row in enumerate(M)]
+                assert (_evaluate(poly, lam, ell) == 0) == _singular(shifted, ell)
+
+
+@pytest.mark.parametrize(
+    "M,poly",
+    [
+        ([], [1]),
+        ([[5]], [1, 36 - 5 + 1]),
+        ([[1, 2], [3, 4]], [1, 37 - 5, 37 - 2]),  # x^2 - 5x - 2
+        ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], [1, 0, 0, 0]),
+        ([[0, 1, 7], [0, 0, 1], [0, 0, 0]], [1, 0, 0, 0]),  # nilpotent
+        # column 0 is zero on the subdiagonal, so the reduction swaps rows 1 and 2
+        ([[1, 2, 3], [0, 4, 5], [6, 7, 8]], None),
+    ],
+    ids=["dim0", "dim1", "dim2", "zero", "nilpotent", "swap"],
+)
+def test_charpoly_small_cases(M, poly):
+    ell = 37
+    got = chartab._charpoly_mod(M, ell)
+    if poly is None:
+        # det(xI - M) by cofactor expansion along the first row, at each x
+        def det(A):
+            if not A:
+                return 1
+            return sum((-1) ** j * A[0][j] * det([r[:j] + r[j + 1:] for r in A[1:]])
+                       for j in range(len(A)))
+
+        for x in range(ell):
+            shifted = [[(x * (i == j) - a) for j, a in enumerate(row)] for i, row in enumerate(M)]
+            assert _evaluate(got, x, ell) == det(shifted) % ell
+    else:
+        assert got == poly
+
+
+@pytest.mark.parametrize("ell", [2, 37])
+def test_nullspace_basis(ell):
+    rnd = random.Random(300 + ell)
+    for n in range(1, 8):
+        for _ in range(6):
+            rank = rnd.randrange(n + 1)
+            L = [[rnd.randrange(ell) for _ in range(rank)] for _ in range(n)]
+            R = [[rnd.randrange(ell) for _ in range(n)] for _ in range(rank)]
+            M = _matmul(L, R, ell) if rank else [[0] * n for _ in range(n)]
+            basis = chartab._nullspace_mod(M, ell)
+            assert len(basis) == n - len(chartab._rref_mod(M, ell)[0])
+            for y in basis:
+                assert all(sum(a * b for a, b in zip(row, y)) % ell == 0 for row in M)
+            if basis:
+                assert len(chartab._rref_mod(basis, ell)[0]) == len(basis)
+
+
+# -- class count cap ----------------------------------------------------------
+
+
+def _elementary_abelian_2(n):
+    gens = []
+    for i in range(n):
+        g = list(range(2 * n))
+        g[2 * i], g[2 * i + 1] = 2 * i + 1, 2 * i
+        gens.append(tuple(g))
+    return group_from_generators(gens, 2 * n)
+
+
+def test_class_count_cap_admits_the_largest_benchmarked_table():
+    assert chartab.CLASS_COUNT_CAP >= 289
+
+
+def test_class_count_cap_fires_before_any_class_matrix(monkeypatch):
+    def no_class_matrix(*args):
+        raise AssertionError("a class matrix was built")
+
+    monkeypatch.setattr(chartab, "_class_matrix", no_class_matrix)
+    G = _elementary_abelian_2(10)
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceeded, match="class count 1024 exceeds table cap"):
+        character_table(G)
+    assert time.perf_counter() - t0 < 1.0

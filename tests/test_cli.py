@@ -219,6 +219,17 @@ def test_exit_code_sylow_stream_cap(monkeypatch, tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_exit_code_class_count_cap(tmp_path, capsys):
+    # C2^10: |S| = 1024 passes the order cap, its 1024 classes do not
+    f = tmp_path / "c2_10.txt"
+    f.write_text("".join(f"({2 * i + 1},{2 * i + 2})\n" for i in range(10)))
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "run", "--group", str(f), "--prime", "2")
+    assert code == EXIT_CAP
+    assert "cap exceeded: class count 1024 exceeds table cap" in err
+    assert time.perf_counter() - start < 1.0
+
+
 def test_s11_at_3_descends_below_the_cap(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "run", "--group", str(_symmetric_file(tmp_path, 11)), "--prime", "3", "--mode", "fusion"

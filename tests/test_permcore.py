@@ -205,6 +205,8 @@ def test_sylow_certificates_survive_optimized_mode():
          "tests/test_chartab.py::test_value_lift_certificate",
          "tests/test_chartab.py::test_table_certificates",
          "tests/test_chartab.py::test_trivial_index_certificate",
+         "tests/test_chartab.py::test_root_without_eigenvector_certificate",
+         "tests/test_chartab.py::test_primitive_root_certificate",
          "tests/test_fimonoid.py::test_ray_feasibility_certificate",
          "tests/test_fimonoid.py::test_pointed_cone_certificates",
          "tests/test_fimonoid.py::test_atom_count_certificate",
