@@ -80,11 +80,11 @@ CATALOG = {
         ),
         CatalogEntry(
             "PSL3_19", 3, "stretch", Expectation(7, 16, False, None),
-            note="disabled by default: stops at the Sylow node cap",
+            note="disabled by default; completes in a few seconds",
         ),
         CatalogEntry(
             "PSL4_7", 3, "stretch", Expectation(None, None, True, None),
-            note="disabled by default: stops at the Sylow node cap",
+            note="disabled by default: stops at the Sylow cap",
         ),
     ]
 }

@@ -368,8 +368,10 @@ def trivial_group(degree):
 # -- Sylow subgroups ------------------------------------------------------
 
 
-# Most nodes the lex walk of sylow_subgroup will build (S11 at p = 2 needs 537k).
-SYLOW_STREAM_CAP = 2 * 10**6
+# Most work the lex walks of one sylow_subgroup call may do, in node-points
+# (nodes built times the degree): PSL3_19 needs 1.8e7, S16 at p = 3 2e7, and
+# PSL4_7 stops here after a 2.5 s walk on a 2-core x86-64 VM.
+SYLOW_STREAM_CAP = 5 * 10**7
 # Most nodes one conjugacy search of a fusion decision builds.
 CONJUGACY_CAP = 10**6
 
@@ -411,58 +413,72 @@ def _lex_chain(gens, degree, order):
     return levels
 
 
-def _lex_p_elements(G, p, limit):
-    """(x, order) for the p-elements x of G in lex order of their image
-    tuples, lazily, by a depth-first walk of the chain from _lex_chain;
-    `limit` is a power of p that every p-element order divides.
+def _lex_first(levels, n, bound, keep_leaf, normalizing=None, work=0):
+    """(x, work): x is the lex-least element (by image tuples) of the
+    group whose _lex_chain is `levels`, among those whose cycle lengths
+    all divide bound and that keep_leaf accepts, or None.  work carries
+    over between searches and grows by the degree n per node built.
 
     A node at level i is a coset map c: every element below it agrees
-    with c on the points before the next level's base point (the deeper
-    stabilizer fixes them).  Its children are u * c for the transversal
-    elements u of the level, and the child's image of the level point b
-    is c[u[b]], distinct for distinct u.  Visiting them in increasing
-    order of that image, and of the images before b, which all children
-    share, makes depth-first order lex order.
-
-    A child whose fixed points close a cycle of a length that does not
-    divide limit is pruned: every element below it has that cycle.  A
-    child at the last level is a whole element, kept when _p_order finds
-    it a p-element.  So the walk yields the p-elements, and only them.
-
-    Raises CapExceeded once it has built more than SYLOW_STREAM_CAP
-    nodes (pruned ones included).
+    with c before end_i, the next base point (the degree at the last
+    level).  Its children u * c, one per transversal element u, map the
+    base point b to distinct points c[u[b]] and share the images before
+    b, so visiting them in increasing order of c[u[b]] makes
+    depth-first order lex order.  A child is checked on the window
+    [b, end_i) it newly fixes (the root's [0, b_0) is fixed by G) and
+    pruned when the check rules out every element below it:
+    - a cycle that closes there, counted once at its largest point, has
+      a length not dividing bound;
+    - normalizing None (order exactly bound): no closed cycle has length
+      bound, and fewer than bound points lie outside closed cycles;
+    - normalizing = (gens, elements) of P (s^x in P for s in gens): each
+      pair (i, s(i)) is checked where its larger end lies, by ANDing
+      masks[x(i)][x(s(i))], the bitmask of the h in P that map x(i)
+      there, into the mask s carries down; an empty mask prunes.
+    So no wanted element is lost, and at a leaf s^x is in P.  Raises
+    CapExceeded once work exceeds SYLOW_STREAM_CAP.
     """
-    n = G.degree
-    ident = identity(n)
-    levels = _lex_chain(G.generators, n, G.order)
-    ends = [b for b, _ in levels[1:]] + [n]
-    stack = [(ident, 0)]
-    built = 1
+    gens, elements = normalizing or ((), ())
+    masks = [{} for _ in range(n)]
+    for bit, h in enumerate(elements):
+        for a, b in enumerate(h):
+            masks[a][b] = masks[a].get(b, 0) | 1 << bit
+    windows = [
+        (range(b, end), [[(i, s[i]) for i in range(n) if b <= max(i, s[i]) < end] for s in gens])
+        for (b, _), end in zip(levels, [b for b, _ in levels[1:]] + [n])
+    ]
+    stack = [(identity(n), 0, levels[0][0], False, [(1 << len(elements)) - 1] * len(gens))]
     while stack:
-        c, i = stack.pop()
-        b, left = levels[i]
-        end = ends[i]
-        built += len(left)
-        if built > SYLOW_STREAM_CAP:
-            raise CapExceeded(f"sylow: lex walk exceeds cap {SYLOW_STREAM_CAP} nodes")
-        children = (left[pt](c) for pt in sorted(left, key=c.__getitem__))
-        if end == n:
-            for x in children:
-                order = _p_order(x, p, limit, ident, b)
-                if order:
-                    yield x, order
-            continue
+        c, d, closed, whole, cands = stack.pop()
+        (_, left), (window, pairs) = levels[d], windows[d]
+        work += len(left) * n
+        if work > SYLOW_STREAM_CAP:
+            raise CapExceeded(f"sylow: lex walk exceeds cap {SYLOW_STREAM_CAP} node-points")
         kids = []
-        for child in children:
-            for j in range(b, end):
-                k, length = child[j], 1
-                while k != j and k < end:
-                    k, length = child[k], length + 1
-                if k == j and limit % length:
-                    break
+        for pt in sorted(left, key=c.__getitem__):
+            x = left[pt](c)
+            shut, has = closed, whole
+            for j in window:
+                k, length = x[j], 1
+                while k < j:
+                    k, length = x[k], length + 1
+                if k == j:
+                    if bound % length:
+                        break
+                    shut, has = shut + length, has or length == bound
             else:
-                kids.append((child, i + 1))
+                new = list(cands)
+                for g, ps in enumerate(pairs):
+                    for i, j in ps:
+                        new[g] &= masks[x[i]].get(x[j], 0)
+                if not all(new) or (normalizing is None and not has and n - shut < bound):
+                    continue
+                if d + 1 < len(levels):
+                    kids.append((x, d + 1, shut, has, new))
+                elif keep_leaf(x):
+                    return x, work
         stack += reversed(kids)
+    return None, work
 
 
 def sylow_subgroup(G, p):
@@ -472,23 +488,18 @@ def sylow_subgroup(G, p):
     maximal order; while P is not yet Sylow, adjoin the lex-first
     p-element normalizing P but outside it (one exists: a proper
     p-subgroup has a larger normalizer in any Sylow subgroup over it).
+    Each search is one _lex_first walk of the one lex chain of G built
+    per call, so a walk stops at the element the definition picks.
 
-    The p-elements and their orders come from the lazy lex walk of
-    _lex_p_elements (its docstring says why depth-first order is lex
-    order there, and why pruning loses no p-element) and are kept in a
-    memo in lex order.  Each search rescans the memo and extends the
-    walk only past its end, so the walk stops at the last element the
-    definition picks, not at the end of G.
+    The maximal order m is guessed as the largest p-part of a
+    generator's order (at least p), which some element has.  S grown
+    from the lex-least element of order m is Sylow, and all Sylow
+    subgroups are conjugate, so its exponent e is the largest p-element
+    order in G: e = m certifies the guess, and e > m redoes the search
+    from the lex-least element of order e.
 
-    The maximal order m is not known before the walk ends.  The guess
-    is the largest p-part of a generator's order (at least p), which
-    some element has.  S grown from the lex-least element of order m is
-    Sylow, and all Sylow subgroups are conjugate, so its exponent e is
-    the largest p-element order in G: e = m certifies the guess, and
-    e > m redoes the search from the lex-least element of order e.
-
-    Raises CapExceeded when the walk builds more than SYLOW_STREAM_CAP
-    nodes, and CertificateError unless the result has order |G|_p.
+    Raises CapExceeded when the walks together exceed SYLOW_STREAM_CAP
+    node-points, and CertificateError unless the result has order |G|_p.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -498,39 +509,28 @@ def sylow_subgroup(G, p):
     limit = p  # a cycle of length p^e needs p^e <= degree
     while limit * p <= G.degree and G.order % (limit * p) == 0:
         limit *= p
-    ident = identity(G.degree)
-    walk = _lex_p_elements(G, p, limit)
-    # [x, order, q -> mul(x^-1, q) once a growth step needs it] for the
-    # p-elements walked so far, in lex order
-    memo = []
-
-    def lex_p_elements():
-        yield from memo
-        for x, order in walk:
-            memo.append([x, order, None])
-            yield memo[-1]
-
+    n, ident = G.degree, identity(G.degree)
+    levels, work = _lex_chain(G.generators, n, G.order), 0
     # the p-part of a generator's order divides |G| and is at most the degree
     m = max(p, *(gcd(perm_order(g), limit) for g in G.generators))
+
+    def keep(x):  # a p-element outside P = <gens> that normalizes P
+        if x in pset or not _p_order(x, p, limit, ident, 0):
+            return False
+        return all(conjugate(s, x) in pset for s in gens)
+
     while True:
-        gens = [next(x for x, order, _ in lex_p_elements() if order == m)]
-        S = group_from_generators(gens, G.degree)
-        pset = set(S.elements())
+        x, work = _lex_first(levels, n, m, lambda x: _p_order(x, p, m, ident, 0) == m, None, work)
+        gens = [x]
+        S = group_from_generators(gens, n)
         while S.order < target:
-            for entry in lex_p_elements():
-                x, _, x_inv = entry
-                if x in pset:
-                    continue
-                if x_inv is None:
-                    x_inv = entry[2] = _left(inverse(x))
-                if all(x_inv(mul(s, x)) in pset for s in gens):
-                    gens.append(x)
-                    S = group_from_generators(gens, G.degree)
-                    pset = set(S.elements())
-                    break
-            else:
+            pset = set(S.elements())
+            x, work = _lex_first(levels, n, limit, keep, (gens, pset), work)
+            if x is None:
                 raise CertificateError("Sylow growth stalled; group data inconsistent")
-        e = max(_p_order(s, p, limit, ident, 0) for s in pset)
+            gens.append(x)
+            S = group_from_generators(gens, n)
+        e = max(_p_order(s, p, limit, ident, 0) for s in S.elements())
         if e <= m:
             break
         m = e

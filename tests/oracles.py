@@ -68,7 +68,6 @@ from fmrep.permcore import (
     inverse,
     mul,
     perm_order,
-    trivial_group,
 )
 from fmrep.report import RunReport
 
@@ -322,13 +321,16 @@ def is_p_element(p, prime):
     return True
 
 
-def full_scan_sylow(G, p):
-    """Sylow p-subgroup by lex-ordered growth over every p-element of G."""
+def full_scan_growth(G, p):
+    """The steps of full_scan_sylow: (gens, x) for each P = <gens> it
+    grows, x the lex-first p-element of N_G(P) outside P; the last gens
+    generate the Sylow subgroup, with x None."""
     target = 1
     while G.order % (target * p) == 0:
         target *= p
     if target == 1:
-        return trivial_group(G.degree)
+        yield [], None
+        return
     ident = identity(G.degree)
     pelems = sorted(x for x in G.elements() if x != ident and is_p_element(x, p))
     start = max(pelems, key=lambda x: (perm_order(x), [-i for i in x]))
@@ -340,10 +342,17 @@ def full_scan_sylow(G, p):
             x for x in pelems
             if x not in pset and all(conjugate(s, x) in pset for s in gens)
         )
+        yield list(gens), x
         gens.append(x)
         S = group_from_generators(gens, G.degree)
     assert S.order == target
-    return S
+    yield gens, None
+
+
+def full_scan_sylow(G, p):
+    """Sylow p-subgroup by lex-ordered growth over every p-element of G."""
+    *_, (gens, _) = full_scan_growth(G, p)
+    return group_from_generators(gens, G.degree)
 
 
 def orbit_walk_conjugates(G, x, ys):

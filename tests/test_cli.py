@@ -210,12 +210,12 @@ def _symmetric_file(tmp_path, n):
 
 
 def test_exit_code_sylow_stream_cap(monkeypatch, tmp_path, capsys):
-    # S11 at p = 2 passes the Sylow stage under the real cap (537k nodes)
+    # S11 at p = 2 passes the Sylow stage under the real cap (1.2e5 node-points)
     monkeypatch.setattr(permcore, "SYLOW_STREAM_CAP", 10**4)
     start = time.perf_counter()
     code, _, err = run_cli(capsys, "run", "--group", str(_symmetric_file(tmp_path, 11)), "--prime", "2")
     assert code == EXIT_CAP
-    assert "cap exceeded: sylow: lex walk exceeds cap 10000 nodes" in err
+    assert "cap exceeded: sylow: lex walk exceeds cap 10000 node-points" in err
     assert time.perf_counter() - start < 1.0
 
 
@@ -279,6 +279,29 @@ def test_stretch_psu3_9_meets_its_expectation():
     computed = (report.fusion_class_count, len(report.atoms), report.factorial)
     assert entry.prime == 2
     assert computed == (entry.expect.classes, entry.expect.atoms, entry.expect.factorial) == (9, 53, False)
+
+
+def test_stretch_psl3_19_meets_its_expectation():
+    """The stretch entry PSL3_19 (|G| = 5,644,682,640 on 381 points, |S| = 81)
+    runs through the whole pipeline in a few seconds and gives its catalog
+    values."""
+    entry = catalog.CATALOG["PSL3_19"]
+    assert entry.tier == "stretch"
+    report = run_analysis(catalog.load_group("PSL3_19"), entry.prime, name="PSL3_19")
+    computed = (report.fusion_class_count, len(report.atoms), report.factorial)
+    assert entry.prime == 3
+    assert computed == (entry.expect.classes, entry.expect.atoms, entry.expect.factorial) == (7, 16, False)
+
+
+def test_stretch_psl4_7_stops_at_the_sylow_cap(capsys):
+    """The stretch entry PSL4_7 (degree 400) needs a walk to the lex-least
+    element of order 9 far past the cap; the cap, in node-points, stops
+    the whole run in about 4.5 s on a 2-core x86-64 VM."""
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "run", "--group", "PSL4_7", "--allow-stretch")
+    assert code == EXIT_CAP
+    assert "cap exceeded: sylow: lex walk exceeds cap 50000000 node-points" in err
+    assert time.perf_counter() - start < 15.0
 
 
 def test_exit_code_report_into_missing_directory(tmp_path, capsys):

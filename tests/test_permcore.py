@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -190,37 +191,32 @@ def test_sylow_nonprime_rejected():
         sylow_subgroup(S(4), 4)
 
 
+def certificate_tests(root):
+    """Node ids of the test functions that expect a CertificateError or
+    CapExceeded, directly or as the command line's exit code 5 or 3."""
+    names = {"CertificateError", "CapExceeded", "EXIT_CERTIFICATE", "EXIT_CAP"}
+    for path in sorted((root / "tests").glob("test_*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("test_") and any(
+                isinstance(n, ast.Name) and n.id in names for n in ast.walk(node)
+            ):
+                yield f"tests/{path.name}::{node.name}"
+
+
 def test_sylow_certificates_survive_optimized_mode():
-    """tests/test_sylow.py, tests/test_intlin.py, tests/test_repring.py,
-    the parallelepiped tests, the character-table and monoid
-    certificates, certificate tests included, and the conjugacy tests
-    of this file, under python -O."""
+    """Every certificate and cap test, under python -O: the checks they
+    expect are explicit raises, which -O cannot strip."""
     root = Path(__file__).resolve().parents[1]
+    selection = list(certificate_tests(root))
+    assert "tests/test_sylow.py::test_growth_certificate_raises" in selection
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    selections = [
-        ["tests/test_sylow.py", "tests/test_intlin.py", "tests/test_repring.py",
-         "tests/test_fimonoid.py::test_parallelepiped_points_random",
-         "tests/test_fimonoid.py::test_parallelepiped_certificate",
-         "tests/test_chartab.py::test_value_lift_certificate",
-         "tests/test_chartab.py::test_table_certificates",
-         "tests/test_chartab.py::test_trivial_index_certificate",
-         "tests/test_chartab.py::test_root_without_eigenvector_certificate",
-         "tests/test_chartab.py::test_primitive_root_certificate",
-         "tests/test_fimonoid.py::test_ray_feasibility_certificate",
-         "tests/test_fimonoid.py::test_pointed_cone_certificates",
-         "tests/test_fimonoid.py::test_atom_count_certificate",
-         "tests/test_fimonoid.py::test_factorial_implies_half_factorial_certificate"],
-        # -k keeps this test from running itself
-        ["tests/test_permcore.py", "-k", "conjugat or fast_path or fusion or split_classes"],
-    ]
-    for args in selections:
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *args],
-            cwd=root, env=env, capture_output=True, text=True, timeout=600,
-        )
-        assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
-        assert " passed" in proc.stdout and "failed" not in proc.stdout
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *selection],
+        cwd=root, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert " passed" in proc.stdout and "failed" not in proc.stdout
 
 
 @pytest.mark.parametrize(

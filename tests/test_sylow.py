@@ -1,8 +1,8 @@
 """Sylow subgroups against the full-scan oracle, and the kernels under them.
 
-The whole module also runs under `python -O` (see
-test_permcore.test_sylow_certificates_survive_optimized_mode), so its
-certificate tests check raises that `-O` cannot strip.
+Its certificate and cap tests also run under `python -O` (see
+test_permcore.test_sylow_certificates_survive_optimized_mode), so they
+check raises that `-O` cannot strip.
 """
 
 import random
@@ -17,7 +17,7 @@ from fmrep.permcore import (
     CapExceeded,
     CertificateError,
     _lex_chain,
-    _lex_p_elements,
+    _lex_first,
     _p_order,
     conjugate,
     group_from_generators,
@@ -30,7 +30,7 @@ from fmrep.permcore import (
 )
 
 from .groups_zoo import all_groups_up_to_16
-from .oracles import full_scan_sylow, is_p_element
+from .oracles import full_scan_growth, full_scan_sylow, is_p_element
 
 ZOO = all_groups_up_to_16()
 
@@ -77,12 +77,57 @@ WALKED = ZOO + [(f"S{n}", S(n)) for n in range(1, 8)] + [
 ]
 
 
+def relabelled(name, G):
+    """G, and G with its points relabelled at random."""
+    sigma = list(range(G.degree))
+    random.Random(name).shuffle(sigma)
+    return [G, group_from_generators([conjugate(g, tuple(sigma)) for g in G.generators], G.degree)]
+
+
 @pytest.mark.parametrize("name,G", WALKED, ids=[n for n, _ in WALKED])
 def test_walk_yields_p_elements_in_lex_order(name, G):
-    for p in primes_dividing(G.order):
-        walked = list(_lex_p_elements(G, p, p_limit(G, p)))
-        assert [x for x, _ in walked] == sorted(x for x in G.elements() if is_p_element(x, p))
-        assert all(order == perm_order(x) for x, order in walked)
+    """The start search of _lex_first yields the lex-least element of
+    order m, for every prime p and every power m of p up to the limit,
+    as a scan of G in lex order does (None when there is none)."""
+    for H in relabelled(name, G):
+        levels = _lex_chain(H.generators, H.degree, H.order)
+        elements = sorted(H.elements())
+        for p in primes_dividing(H.order):
+            m = 1
+            while p_limit(H, p) % m == 0:
+                expected = next((x for x in elements if perm_order(x) == m), None)
+                found, _ = _lex_first(levels, H.degree, m, lambda x: perm_order(x) == m)
+                assert found == expected, (p, m)
+                m *= p
+
+
+@pytest.mark.parametrize("name,G", WALKED, ids=[n for n, _ in WALKED])
+def test_lex_first_finds_the_next_growth_step(name, G):
+    """The growth search (the lex-first p-element of N_G(P) outside P),
+    at every P that the full-scan oracle grows, against the oracle."""
+    for H in relabelled(name, G):
+        levels = _lex_chain(H.generators, H.degree, H.order)
+        for p in primes_dividing(H.order):
+            for gens, expected in full_scan_growth(H, p):
+                pset = set(group_from_generators(gens, H.degree).elements())
+
+                def keep(x):
+                    return x not in pset and is_p_element(x, p) and all(conjugate(s, x) in pset for s in gens)
+
+                found, _ = _lex_first(levels, H.degree, p_limit(H, p), keep, (gens, pset))
+                assert found == expected, (p, len(gens))
+
+
+def test_start_search_prunes_by_points_left_for_the_cycle():
+    """S9 at p = 3 starts from the lex-least 9-cycle.  A node with no
+    closed 9-cycle and fewer than 9 points outside its closed cycles is
+    pruned, so the search builds 44 nodes (396 node-points); a lex scan
+    of S9 meets 1,314 3-elements before it, 1,233 of them fixing 0."""
+    G = S(9)
+    levels = _lex_chain(G.generators, 9, G.order)
+    found, work = _lex_first(levels, 9, 9, lambda x: perm_order(x) == 9)
+    assert found == (1, 2, 3, 4, 5, 6, 7, 8, 0)
+    assert work <= 1000
 
 
 @pytest.mark.parametrize("name,G", WALKED, ids=[n for n, _ in WALKED])
@@ -91,11 +136,9 @@ def test_lex_chain_has_lex_base(name, G):
     relabelled: base points increase, the level-i transversal fixes every
     point before b_i and maps b_i to its key, and the transversal sizes
     multiply to |G|."""
-    sigma = list(range(G.degree))
-    random.Random(name).shuffle(sigma)
     ident = identity(G.degree)
-    for gens in (G.generators, [conjugate(g, tuple(sigma)) for g in G.generators]):
-        levels = _lex_chain(gens, G.degree, G.order)
+    for H in relabelled(name, G):
+        levels = _lex_chain(H.generators, G.degree, G.order)
         bases = [b for b, _ in levels]
         assert bases == sorted(set(bases))
         size = 1
@@ -146,9 +189,9 @@ def test_restart_when_exponent_exceeds_guess(monkeypatch):
 
 
 def test_stream_cap_names_stage_and_value(monkeypatch):
-    # S9 at p = 3 builds about 53k nodes
-    monkeypatch.setattr(permcore, "SYLOW_STREAM_CAP", 10**4)
-    with pytest.raises(CapExceeded, match=r"sylow: lex walk exceeds cap 10000 nodes"):
+    # S9 at p = 3 needs about 2,000 node-points (217 nodes of degree 9)
+    monkeypatch.setattr(permcore, "SYLOW_STREAM_CAP", 10**3)
+    with pytest.raises(CapExceeded, match=r"sylow: lex walk exceeds cap 1000 node-points"):
         sylow_subgroup(S(9), 3)
 
 
