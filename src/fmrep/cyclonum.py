@@ -26,7 +26,6 @@ __all__ = [
     "zeta",
     "from_rational",
     "rational_coordinates",
-    "from_coordinates",
     "euler_phi",
     "prime_divisors",
     "cyclotomic_polynomial",
@@ -278,17 +277,10 @@ def from_rational(x):
 
 
 def rational_coordinates(a, n):
-    """Coordinates of `a` over the power basis of Z[zeta_n].
-
-    The conductor of `a` must divide n.  Reassembling the coordinates
-    with from_coordinates() reproduces `a` exactly.
-    """
+    """Coordinates of `a` over the power basis of Q(zeta_n); the
+    conductor of `a` must divide n."""
     if n % a.n != 0:
         raise ValueError(f"conductor {a.n} does not divide {n}")
     coeffs = a._lift(n)
     phi = euler_phi(n)
     return list(coeffs) + [Fraction(0)] * (phi - len(coeffs))
-
-
-def from_coordinates(coords, n):
-    return Cyclotomic(n, list(coords))

@@ -6,6 +6,8 @@ character sum_j a_j chi_j is constant across fused classes.  Writing
 one character-difference condition per fused class pair and linearizing
 the cyclotomic entries over the integral power basis of Z[zeta_e]
 (e = exponent of S) turns invariance into an integer kernel problem.
+Character values are algebraic integers: each distinct value is read
+once, in integers, and only distinct nonzero columns reach the kernel.
 
 The kernel is free abelian of rank equal to the number of fusion
 classes; its canonical HNF basis is the RepLattice, certified by
@@ -15,16 +17,17 @@ integer checks against the same difference rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from operator import mul, sub
 
 from .chartab import CharacterTable
-from .cyclonum import rational_coordinates, signed_sum
+from .cyclonum import _descent_matrix, euler_phi, signed_sum
+from .cyclonum import rational_coordinates  # noqa: F401  (traced by perfbench/bench_trace.py)
 from .fusion import FusionPattern
 from .intlin import (
     hermite_normal_form,  # noqa: F401  (traced by perfbench/bench_trace.py)
     integer_kernel,
     lattice_contains,
-    solve_integer,
+    solve_integer,  # noqa: F401  (traced by perfbench/bench_trace.py)
 )
 from .permcore import CertificateError
 
@@ -37,10 +40,6 @@ class RepLattice:
 
     def contains(self, v):
         return lattice_contains([list(r) for r in self.basis], list(v))
-
-    def coordinates(self, v):
-        """Integer coordinates of v over the basis, or None."""
-        return solve_integer([list(r) for r in self.basis], list(v))
 
     def to_multiplicities(self, x):
         """Map lattice coordinates x back to a multiplicity vector."""
@@ -66,25 +65,34 @@ def fusing_pairs(pattern: FusionPattern):
 
 
 def difference_matrix(pattern: FusionPattern, table: CharacterTable):
-    """One row per irreducible chi_j: over the fusing pairs (c1, c2), the
-    concatenated power-basis coordinates of chi_j(c1) - chi_j(c2) over
-    Z[zeta_e].  Character values are algebraic integers, so each value a
-    pair touches has integer coordinates; it is linearized once."""
+    """One row per irreducible chi_j.  The columns are the distinct nonzero
+    ones, sorted, among the power-basis coordinates over Z[zeta_e] of
+    chi_j(c1) - chi_j(c2) for the fusing pairs (c1, c2); the left kernel
+    is that of all of them.  Each value object is linearized once a call."""
     e = table.exponent
     pairs = fusing_pairs(pattern)
-    touched = sorted({c for pair in pairs for c in pair})
-    rows = []
-    for chi in table.chars:
-        coords = {c: _integer_coordinates(chi[c], e) for c in touched}
-        rows.append([a - b for c1, c2 in pairs for a, b in zip(coords[c1], coords[c2])])
-    return rows
+    coords = {}  # id(value) -> integer coordinates; the table keeps the values alive
+    blocks = {}  # class c -> the coordinate columns of (chi_j(c))_j
+    for c in sorted({c for pair in pairs for c in pair}):
+        for chi in table.chars:
+            if id(chi[c]) not in coords:
+                coords[id(chi[c])] = _integer_coordinates(chi[c], e)
+        blocks[c] = list(zip(*(coords[id(chi[c])] for chi in table.chars)))
+    columns = {tuple(map(sub, a, b)) for c1, c2 in pairs for a, b in zip(blocks[c1], blocks[c2])}
+    columns.discard((0,) * table.irr_count)
+    return [list(r) for r in zip(*sorted(columns))] or [[] for _ in table.chars]
 
 
 def _integer_coordinates(value, e):
-    coords = rational_coordinates(value, e)
-    if any(c.denominator != 1 for c in coords):
+    """Coordinates over Z[zeta_e], n = value.n: sum_i c_i (zeta_n^i over zeta_e)."""
+    if e % value.n or any(c.denominator != 1 for c in value.coeffs):
         raise CertificateError(f"character value {value} is not in Z[zeta_{e}]")
-    return [c.numerator for c in coords]
+    out = [0] * euler_phi(e)
+    for c, row in zip(value.coeffs, _descent_matrix(e, value.n)):
+        if c:
+            for i, x in enumerate(row):
+                out[i] += c.numerator * x
+    return out
 
 
 def rep_lattice(pattern: FusionPattern, table: CharacterTable) -> RepLattice:

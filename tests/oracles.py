@@ -36,6 +36,11 @@ class by class as a cyclotomic sum: invariance is then constancy on
 fused classes, checked value by value, independently of the integer
 linearization in fmrep.repring.
 
+The difference-matrix oracle is the linearization fmrep.repring used
+before it read each value once in integers: every (chi, touched class)
+goes through rational_coordinates, every pair's columns are kept, zero
+and repeated ones included.
+
 The descent oracle finds the minimal conductor of a cyclotomic number
 by Gauss-Jordan elimination over Fraction, independently of the
 integer solve in fmrep.cyclonum.
@@ -56,9 +61,16 @@ from math import gcd
 
 import numpy as np
 
-from fmrep.cyclonum import _descent_matrix, from_rational, prime_divisors, zeta
+from fmrep.cyclonum import (
+    _descent_matrix,
+    from_rational,
+    prime_divisors,
+    rational_coordinates,
+    zeta,
+)
 from fmrep.intlin import det, hermite_normal_form, nonzero_rows, solve_integer
 from fmrep.permcore import (
+    CertificateError,
     _left,
     class_partition,
     conjugate,
@@ -69,6 +81,7 @@ from fmrep.permcore import (
     mul,
     perm_order,
 )
+from fmrep.repring import fusing_pairs
 from fmrep.report import RunReport
 
 
@@ -245,6 +258,23 @@ def is_invariant(mult, pattern, table):
         else:
             first_of[lab] = idx
     return True
+
+
+def full_difference_matrix(pattern, table):
+    """One row per irreducible chi_j: over the fusing pairs (c1, c2), the
+    concatenated coordinates of chi_j(c1) - chi_j(c2) over Z[zeta_e],
+    read per (chi, class) by rational_coordinates; all columns kept."""
+    e = table.exponent
+    pairs = fusing_pairs(pattern)
+    touched = sorted({c for pair in pairs for c in pair})
+    rows = []
+    for chi in table.chars:
+        coords = {c: rational_coordinates(chi[c], e) for c in touched}
+        for c in touched:
+            if any(x.denominator != 1 for x in coords[c]):
+                raise CertificateError(f"character value {chi[c]} is not in Z[zeta_{e}]")
+        rows.append([int(a - b) for c1, c2 in pairs for a, b in zip(coords[c1], coords[c2])])
+    return rows
 
 
 def assert_orthogonal(rows, table):

@@ -8,7 +8,6 @@ from fmrep.cyclonum import (
     Cyclotomic,
     euler_phi,
     cyclotomic_polynomial,
-    from_coordinates,
     from_rational,
     rational_coordinates,
     zeta,
@@ -16,6 +15,11 @@ from fmrep.cyclonum import (
 from fmrep.cyclonum import _reduce_mod_phi
 
 from .oracles import fraction_descent, galois_trace, to_complex
+
+
+def from_coordinates(coords, n):
+    """The element of Q(zeta_n) with the given power-basis coordinates."""
+    return Cyclotomic(n, list(coords))
 
 
 def random_element(rng, n, terms=3, span=4):

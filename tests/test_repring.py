@@ -1,15 +1,28 @@
+import dataclasses
 import itertools
+import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
 import fmrep.repring
 from fmrep.catalog import CATALOG, traditional_labels
-from fmrep.fusion import discrete_pattern
+from fmrep.chartab import character_table
+from fmrep.fusion import discrete_pattern, fusion_from_partition
 from fmrep.intlin import integer_kernel, solve_integer
-from fmrep.permcore import CertificateError
+from fmrep.permcore import CertificateError, group_from_generators, parse_perm
 from fmrep.repring import difference_matrix, format_virtual, fusing_pairs, rep_lattice
 
-from .oracles import is_invariant, lattices_equal
+from .oracles import full_difference_matrix, is_invariant, lattices_equal
+
+# Sylow subgroups whose stable partitions are checked against the oracle:
+# P3(S9) = C3 wr C3 (k = 17) and D32, the Sylow 2-subgroup of PSL2_31 (k = 11).
+PARTITION_GROUPS = {
+    "P3(S9)": (9, ["(1,2,3)", "(1,4,7)(2,5,8)(3,6,9)"]),
+    "D32": (16, ["(1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16)",
+                 "(2,16)(3,15)(4,14)(5,13)(6,12)(7,11)(8,10)"]),
+}
 
 
 def test_discrete_pattern_gives_no_rows_and_full_lattice(pipelines):
@@ -101,6 +114,67 @@ def test_difference_rows_match_oracle_invariance(pipelines):
         assert (not any(row)) == is_invariant(unit, F, T)
 
 
+def _assert_matches_full_matrix(F, T):
+    """The kernel is the oracle's, and the columns are exactly the
+    oracle's distinct nonzero columns, sorted."""
+    diff = difference_matrix(F, T)
+    full = full_difference_matrix(F, T)
+    assert len(diff) == T.irr_count
+    assert integer_kernel(diff) == integer_kernel(full)
+    assert list(zip(*diff)) == sorted(set(zip(*full)) - {(0,) * T.irr_count})
+
+
+@pytest.mark.parametrize(
+    "name", [n for n, e in CATALOG.items() if e.tier in ("fast", "table")]
+)
+def test_difference_matrix_matches_full_oracle(name, pipelines):
+    _, _, T, F, _, _ = pipelines.run(name)
+    _assert_matches_full_matrix(F, T)
+
+
+def _stable_partitions(T, rng, draws):
+    """The Galois orbits of T's classes, one block per element order, and
+    `draws` random unions of orbits within each order (1-based blocks)."""
+    by_order, seen = {}, set()
+    for j, c in enumerate(T.classes):
+        if j not in seen:
+            o = c.element_order
+            orbit = {j} | {T.power_class[j][t] for t in range(1, o) if gcd(t, o) == 1}
+            seen |= orbit
+            by_order.setdefault(o, []).append(sorted(i + 1 for i in orbit))
+    orbits = [orbit for o in sorted(by_order) for orbit in by_order[o]]
+    out = [orbits, [sum(by_order[o], []) for o in sorted(by_order)]]
+    for _ in range(draws):
+        blocks = []
+        for o in sorted(by_order):
+            bins = [[] for _ in range(rng.randint(1, len(by_order[o])))]
+            for orbit in by_order[o]:
+                rng.choice(bins).extend(orbit)
+            blocks += [sorted(b) for b in bins if b]
+        out.append(blocks)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(PARTITION_GROUPS))
+def test_difference_matrix_matches_full_oracle_on_partitions(name):
+    degree, words = PARTITION_GROUPS[name]
+    T = character_table(group_from_generators([parse_perm(w, degree) for w in words], degree))
+    for partition in _stable_partitions(T, random.Random(name), draws=4):
+        _assert_matches_full_matrix(fusion_from_partition(partition, T), T)
+
+
+def test_certificate_value_not_in_cyclotomic_integers(pipelines):
+    """A character value with a coefficient 1/2 is not an algebraic
+    integer; its linearization raises instead of rounding."""
+    _, _, T, F, _, _ = pipelines.run("S4")
+    c = fusing_pairs(F)[0][0]
+    chars = [list(row) for row in T.chars]
+    chars[-1][c] = chars[-1][c] + Fraction(1, 2)
+    bad = dataclasses.replace(T, chars=tuple(tuple(row) for row in chars))
+    with pytest.raises(CertificateError, match=r"not in Z\[zeta"):
+        rep_lattice(F, bad)
+
+
 def _patched_kernel(monkeypatch, edit):
     def kernel(diff):
         return edit([list(r) for r in integer_kernel(diff)], diff)
@@ -137,15 +211,15 @@ def test_certificate_kernel_sublattice(monkeypatch, pipelines):
 
 def test_lattice_solves_and_coordinates(pipelines):
     _, _, T, F, L, _ = pipelines.run("S9")
+    basis = [list(r) for r in L.basis]
     # every basis row solves over the kernel basis (mutual containment)
-    for row in L.basis:
-        assert solve_integer([list(r) for r in L.basis], list(row)) is not None
-    x = L.coordinates(T.regular_vector())
+    for row in basis:
+        assert solve_integer(basis, row) is not None
+    x = solve_integer(basis, list(T.regular_vector()))
     assert x is not None
     assert L.to_multiplicities(x) == T.regular_vector()
-    assert L.coordinates([1] + [0] * (T.irr_count - 1)) is None or is_invariant(
-        [1] + [0] * (T.irr_count - 1), F, T
-    )
+    unit = [1] + [0] * (T.irr_count - 1)
+    assert solve_integer(basis, unit) is None or is_invariant(unit, F, T)
 
 
 def test_lattice_equals_atom_span(pipelines):

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Time `chartab.character_table` on products of Sylow subgroups.
+"""Time `chartab.character_table` and `repring.rep_lattice` on products
+of Sylow subgroups.
 
 Builds P3(S9) x C3 (k = 51), P3(S9) x C3 x C3 (k = 153) and
-P3(S9) x P3(S9) (k = 289), times the table of each (best of N runs),
-and checks the rows against a pinned SHA-256 digest, taken over one
-line per character with its values joined by ", ".  Exits 1 if any
-digest differs.
+P3(S9) x P3(S9) (k = 289), times the table of each and then the
+lattice of the partition with one block per element order (best of N
+runs each).  The table rows and the lattice basis are checked against
+pinned SHA-256 digests, each taken over one line per row with its
+entries joined by ", ".  Exits 1 if any digest differs.
 
 Usage: python tools/table_sweep.py [--repeat N]
 """
@@ -19,19 +21,25 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fmrep.chartab import character_table
+from fmrep.fusion import fusion_from_partition
 from fmrep.permcore import group_from_generators, parse_perm
+from fmrep.repring import rep_lattice
 
 C3WRC3 = ["(1,2,3)", "(1,4,7)(2,5,8)(3,6,9)"]
 C3 = ["(1,2,3)"]
 
-# (name, expected class count, factors as generator words on points 1..d, digest)
+# (name, expected class count, factors as generator words on points 1..d,
+#  table digest, lattice digest)
 PRODUCTS = [
     ("P3(S9)xC3", 51, [(9, C3WRC3), (3, C3)],
-     "459f7910b3bee3f9942b61fd0ac794ab478b2e7a3fb3c6a2271c148dbc906781"),
+     "459f7910b3bee3f9942b61fd0ac794ab478b2e7a3fb3c6a2271c148dbc906781",
+     "9bbe1ad3d60603edd3760756fdb7dc96a8bdd3fe4ba77763e2299d64a642f3be"),
     ("P3(S9)xC3xC3", 153, [(9, C3WRC3), (3, C3), (3, C3)],
-     "e48fd13a87f0f3f077ff09a0296f8c89499a704e0925b234dbdc443ace534788"),
+     "e48fd13a87f0f3f077ff09a0296f8c89499a704e0925b234dbdc443ace534788",
+     "03099472de685ba5f3bd08ac51fe93ba696178de523a266fb4e660b8923e3db6"),
     ("P3(S9)xP3(S9)", 289, [(9, C3WRC3), (9, C3WRC3)],
-     "d6c6092f0534f142c96d7fd83deb4146a1fa42b522a8095fdb09c86ab69dfb63"),
+     "d6c6092f0534f142c96d7fd83deb4146a1fa42b522a8095fdb09c86ab69dfb63",
+     "f07ec8b9fbfc66253fe628194a03f82db2eaa40770650360d274cf0644b37f42"),
 ]
 
 
@@ -48,29 +56,50 @@ def direct_product(factors):
     return group_from_generators(gens, degree)
 
 
-def rows_digest(table):
-    text = "\n".join(", ".join(str(v) for v in row) for row in table.chars)
+def rows_digest(rows):
+    text = "\n".join(", ".join(str(v) for v in row) for row in rows)
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def order_partition(table):
+    """One block of 1-based class indices per element order."""
+    blocks = {}
+    for i, c in enumerate(table.classes):
+        blocks.setdefault(c.element_order, []).append(i + 1)
+    return [blocks[o] for o in sorted(blocks)]
+
+
+def best_of(repeat, f, *args):
+    """(least wall time over `repeat` calls, result of the last call)."""
+    best = None
+    for _ in range(max(1, repeat)):
+        t0 = time.perf_counter()
+        result = f(*args)
+        dt = time.perf_counter() - t0
+        best = dt if best is None else min(best, dt)
+    return best, result
+
+
+def report(name, k, stage, best, digest, pin):
+    match = digest == pin
+    print(f"{name:14s} k={k:4d}  {stage:7s} best {best:7.3f} s  "
+          f"rows {digest[:16]}  {'ok' if match else 'MISMATCH ' + digest}", flush=True)
+    return match
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--repeat", type=int, default=3, help="runs per table; the best is printed")
+    ap.add_argument("--repeat", type=int, default=3, help="runs per stage; the best is printed")
     args = ap.parse_args(argv)
     ok = True
-    for name, k, factors, pin in PRODUCTS:
+    for name, k, factors, table_pin, lattice_pin in PRODUCTS:
         S = direct_product(factors)
-        best = None
-        for _ in range(max(1, args.repeat)):
-            t0 = time.perf_counter()
-            T = character_table(S)
-            dt = time.perf_counter() - t0
-            best = dt if best is None else min(best, dt)
-        digest = rows_digest(T)
-        match = digest == pin and T.class_count == k
-        ok &= match
-        print(f"{name:14s} k={T.class_count:4d}  best {best:7.3f} s  "
-              f"rows {digest[:16]}  {'ok' if match else 'MISMATCH ' + digest}", flush=True)
+        best, T = best_of(args.repeat, character_table, S)
+        ok &= T.class_count == k
+        ok &= report(name, T.class_count, "table", best, rows_digest(T.chars), table_pin)
+        F = fusion_from_partition(order_partition(T), T)
+        best, L = best_of(args.repeat, rep_lattice, F, T)
+        ok &= report(name, T.class_count, "lattice", best, rows_digest(L.basis), lattice_pin)
     return 0 if ok else 1
 
 
