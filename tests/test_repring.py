@@ -11,17 +11,18 @@ from fmrep.catalog import CATALOG, traditional_labels
 from fmrep.chartab import character_table
 from fmrep.fusion import discrete_pattern, fusion_from_partition
 from fmrep.intlin import integer_kernel, solve_integer
-from fmrep.permcore import CertificateError, group_from_generators, parse_perm
+from fmrep.permcore import CertificateError
 from fmrep.repring import difference_matrix, format_virtual, fusing_pairs, rep_lattice
 
+from .groups_zoo import _perm_group
 from .oracles import full_difference_matrix, is_invariant, lattices_equal
 
 # Sylow subgroups whose stable partitions are checked against the oracle:
 # P3(S9) = C3 wr C3 (k = 17) and D32, the Sylow 2-subgroup of PSL2_31 (k = 11).
 PARTITION_GROUPS = {
-    "P3(S9)": (9, ["(1,2,3)", "(1,4,7)(2,5,8)(3,6,9)"]),
-    "D32": (16, ["(1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16)",
-                 "(2,16)(3,15)(4,14)(5,13)(6,12)(7,11)(8,10)"]),
+    "P3(S9)": ("(1,2,3)", "(1,4,7)(2,5,8)(3,6,9)", 9),
+    "D32": ("(1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16)",
+            "(2,16)(3,15)(4,14)(5,13)(6,12)(7,11)(8,10)", 16),
 }
 
 
@@ -157,8 +158,7 @@ def _stable_partitions(T, rng, draws):
 
 @pytest.mark.parametrize("name", sorted(PARTITION_GROUPS))
 def test_difference_matrix_matches_full_oracle_on_partitions(name):
-    degree, words = PARTITION_GROUPS[name]
-    T = character_table(group_from_generators([parse_perm(w, degree) for w in words], degree))
+    T = character_table(_perm_group(*PARTITION_GROUPS[name]))
     for partition in _stable_partitions(T, random.Random(name), draws=4):
         _assert_matches_full_matrix(fusion_from_partition(partition, T), T)
 
