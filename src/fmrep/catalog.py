@@ -2,7 +2,7 @@
 
 Generator words live in data/groups.txt (regenerated by
 tools/build_catalog_data.py); the group order recorded there is
-asserted every time an entry is loaded.  Expectations hold only the
+checked every time an entry is loaded.  Expectations hold only the
 externally known values for each case; fields left as None are
 reported but never diffed.
 
@@ -19,7 +19,7 @@ from functools import cache
 from importlib import resources
 from typing import Optional
 
-from .permcore import PermGroup, group_from_generators, parse_perm
+from .permcore import CertificateError, PermGroup, group_from_generators, parse_perm
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,8 @@ def _parse_asset():
 
 
 def load_group(name: str) -> PermGroup:
-    """Construct a catalog group; its stored order is asserted here."""
+    """Construct a catalog group; its stored order is checked here
+    (CertificateError on a mismatch)."""
     data = _parse_asset()
     if name not in data:
         raise KeyError(f"unknown catalog group {name!r}")
@@ -125,7 +126,7 @@ def load_group(name: str) -> PermGroup:
     gens = [parse_perm(g, record["degree"]) for g in record["gens"]]
     G = group_from_generators(gens, record["degree"])
     if G.order != record["order"]:
-        raise AssertionError(
+        raise CertificateError(
             f"catalog entry {name}: generators give order {G.order}, "
             f"asset says {record['order']}"
         )

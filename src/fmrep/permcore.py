@@ -13,6 +13,7 @@ then q.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import factorial, gcd, isqrt, lcm, prod
 from operator import itemgetter
@@ -169,7 +170,9 @@ class PermGroup:
 
     Built by a deterministic (non-randomized) Schreier-Sims run, so
     repeated constructions from the same generators give identical
-    internal state.  Instances are immutable.
+    internal state.  The base is the lex base: base[i] is the least point
+    moved by the stabilizer of base[:i], so the Sylow and conjugacy walks
+    read this chain as it is (_lex_chain).  Instances are immutable.
     """
 
     __slots__ = ("degree", "generators", "base", "_transversals", "_inverses", "_strong", "order")
@@ -207,27 +210,42 @@ class PermGroup:
     # levels already satisfy the Schreier condition, so sifting through
     # them is a correct membership test.
     #
+    # The chain built is the lex chain: base[l] is the least point moved
+    # by the group H_l of _strong[l], so the base increases and H_l fixes
+    # every point before base[l].  The invariant kept is that the base
+    # increases, that every strong generator at level l fixes every point
+    # before base[l], and that some one moves base[l].  The base starts as
+    # the sorted least moved points of the generators, so it holds then.
+    # A residue of level i lies in H_i and fixes base[i], so it fixes
+    # every point up to base[i], and its least moved point m sorts to a
+    # position j > i.  If m is no base point, a level is inserted at j:
+    # every strong generator at old level j or deeper has its base point
+    # above m and fixes m, so a copy of old level j's set is valid for the
+    # new level, and old level j, now below it, stays valid.  The residue
+    # then joins levels i+1..j, whose base points are at most m.
+    #
     # The product of the transversal lengths never exceeds the group
-    # order: the group of _strong[i] has at least len(transversal i) times
-    # as many elements as the group of _strong[i+1], a subgroup of it
-    # that fixes base[i].
-    # It reaches the order only when each of those is an equality, that
-    # is when every level already meets the Schreier condition; then the
-    # remaining sifts would add nothing, and a known order ends the run.
+    # order: the group of _strong[i+1] is a subgroup of the group of
+    # _strong[i] that fixes base[i] (an inserted level too: the residue
+    # lies in H_i and fixes base[:j]), so the latter has at least
+    # len(transversal i) times as many elements.  Each residue grows a
+    # transversal or inserts one of length at least 2, so the run ends.
+    # The product reaches the order only when each of those is an
+    # equality, that is when every level already meets the Schreier
+    # condition; then the remaining sifts would add nothing, and a known
+    # order ends the run.
 
     def _build(self, known_order):
         ident = identity(self.degree)
         gens = [g for g in self.generators if g != ident]
         if not gens:
             return
-        for g in gens:
-            if all(g[b] == b for b in self.base):
-                self.base.append(min(i for i in range(self.degree) if g[i] != i))
+        least = [next(i for i, j in enumerate(g) if i != j) for g in gens]
+        self.base = sorted(set(least))
         k = len(self.base)
         self._strong = [[] for _ in range(k)]
-        for g in gens:
-            j = next(l for l, b in enumerate(self.base) if g[b] != b)
-            for l in range(j + 1):
+        for g, m in zip(gens, least):
+            for l in range(bisect_left(self.base, m) + 1):
                 self._strong[l].append(g)
         self._transversals = [None] * k
         self._inverses = [None] * k
@@ -259,58 +277,52 @@ class PermGroup:
         """Sift every Schreier generator of level i through deeper levels.
 
         On failure, installs the residue as a strong generator at levels
-        i+1..j and returns j (the level to re-verify from); returns None
-        when the level passes.
+        i+1..j, where base[j] is its least moved point (a new level when
+        that point was no base point), and returns j (the level to
+        re-verify from); returns None when the level passes.
         """
         trans, invs = self._transversals[i], self._inverses[i]
         for pt in sorted(trans):
             u = trans[pt]
             for s in self._strong[i]:
-                schreier = mul(mul(u, s), invs[s[pt]])
-                residue, j = self._sift(schreier, i + 1)
+                residue = self._sift(mul(mul(u, s), invs[s[pt]]), i + 1)
                 if residue is None:
                     continue
-                if j == len(self.base):
-                    self.base.append(
-                        min(m for m in range(self.degree) if residue[m] != m)
-                    )
-                    self._strong.append([])
-                    self._transversals.append(None)
-                    self._inverses.append(None)
+                m = next(p for p, q in enumerate(residue) if p != q)
+                j = bisect_left(self.base, m)
+                if self.base[j:j + 1] != [m]:
+                    self._strong.insert(j, list(self._strong[j]) if j < len(self._strong) else [])
+                    self.base.insert(j, m)
+                    self._transversals.insert(j, None)
+                    self._inverses.insert(j, None)
                 for l in range(i + 1, j + 1):
                     self._strong[l].append(residue)
-                for l in range(i + 1, j + 1):
                     self._recompute_transversal(l)
                 return j
         return None
 
     def _sift(self, x, start=0):
-        """Sift x through levels >= start.
-
-        Returns (residue, level): residue None means x sifted to the
-        identity; otherwise the residue fixes base[:level] but cannot be
-        matched at `level`.
-        """
+        """The residue of sifting x through levels >= start, or None when
+        x sifts to the identity."""
         ident = identity(self.degree)
         level = start
         while x != ident:
             if level == len(self.base):
-                return x, level
+                return x
             invs = self._inverses[level]
             pt = x[self.base[level]]
             if pt not in invs:
-                return x, level
+                return x
             x = mul(x, invs[pt])
             level += 1
-        return None, level
+        return None
 
     # -- queries ---------------------------------------------------------
 
     def __contains__(self, x):
         if len(x) != self.degree:
             raise ValueError("degree mismatch in membership test")
-        residue, _ = self._sift(tuple(x))
-        return residue is None
+        return self._sift(tuple(x)) is None
 
     def __len__(self):
         raise TypeError("use .order (may exceed index range)")
@@ -388,29 +400,13 @@ def _p_part(n, p):
     return e
 
 
-def _lex_chain(gens, degree, order):
-    """Stabilizer chain of the group of this order that gens generate,
-    with a lex base: (b_i, {point: q -> mul(u, q)}) per nontrivial
-    level, where b_i is the least point moved by the stabilizer H_i of
-    b_0, ..., b_(i-1) and u in H_i maps b_i to point.  So b_0 < b_1 < ...,
-    and H_i fixes every point before b_i.
-
-    The levels come from one PermGroup._of_order run; a level whose base
-    point is not b_i is rebuilt from the strong generators of H_i, one
-    that moves b_i first.
-    """
-    levels = []
-    H, l = None, 0
-    while order > 1:
-        strong = gens if H is None else H._strong[l]
-        b = min(next((i for i, j in enumerate(g) if i != j), degree) for g in strong)
-        if H is None or H.base[l] != b:
-            H, l = PermGroup._of_order(sorted(strong, key=lambda g: g[b] == b), degree, order), 0
-        trans = H._transversals[l]
-        levels.append((b, {pt: _left(u) for pt, u in trans.items()}))
-        order //= len(trans)
-        l += 1
-    return levels
+def _lex_chain(H):
+    """H's stabilizer chain in the form the lex walks read: (b_i, {point:
+    q -> mul(u, q)}) per level, where u in H_i maps b_i to point.  Every
+    PermGroup chain is lex (see PermGroup._build): b_i is the least point
+    moved by the stabilizer H_i of b_0, ..., b_(i-1), so b_0 < b_1 < ...,
+    and H_i fixes every point before b_i."""
+    return [(b, {pt: _left(u) for pt, u in trans.items()}) for b, trans in zip(H.base, H._transversals)]
 
 
 def _lex_first(levels, n, bound, keep_leaf, normalizing=None, work=0):
@@ -488,8 +484,8 @@ def sylow_subgroup(G, p):
     maximal order; while P is not yet Sylow, adjoin the lex-first
     p-element normalizing P but outside it (one exists: a proper
     p-subgroup has a larger normalizer in any Sylow subgroup over it).
-    Each search is one _lex_first walk of the one lex chain of G built
-    per call, so a walk stops at the element the definition picks.
+    Each search is one _lex_first walk of G's own chain, so a walk stops
+    at the element the definition picks.
 
     The maximal order m is guessed as the largest p-part of a
     generator's order (at least p), which some element has.  S grown
@@ -510,7 +506,7 @@ def sylow_subgroup(G, p):
     while limit * p <= G.degree and G.order % (limit * p) == 0:
         limit *= p
     n, ident = G.degree, identity(G.degree)
-    levels, work = _lex_chain(G.generators, n, G.order), 0
+    levels, work = _lex_chain(G), 0
     # the p-part of a generator's order divides |G| and is at most the degree
     m = max(p, *(gcd(perm_order(g), limit) for g in G.generators))
 
@@ -621,8 +617,8 @@ def _conjugator_search(G, x):
     """find(y) -> some g in G with conjugate(x, g) == y, or None.
 
     Set-up, once per x: relabel the points so that x's cycles are
-    consecutive runs, longest first, and take the _lex_chain of the
-    relabelled generators.  Its base points b_0 < b_1 < ... then follow
+    consecutive runs, longest first, and take the chain of the group the
+    relabelled generators give.  Its lex base points b_0 < b_1 < ... then follow
     x's cycles, and most base points find their x-preimage before them.
 
     find walks that chain depth first.  A node at depth d is a coset map
@@ -656,7 +652,7 @@ def _conjugator_search(G, x):
     def relabel(p):  # p with its points renamed
         return _left(pick(p))(pos)
 
-    levels = _lex_chain([relabel(g) for g in G.generators], n, G.order)
+    levels = _lex_chain(PermGroup._of_order([relabel(g) for g in G.generators], n, G.order))
     xr = relabel(x)
     xinv = inverse(xr)
     xlen = _cycle_length_map(xr)

@@ -139,6 +139,18 @@ def test_exit_code_failed_certificate(monkeypatch, capsys, argv):
     assert "certificate failed: lattice rank" in err
 
 
+@pytest.mark.parametrize("argv", [["run", "--group", "S4"], ["verify"]])
+def test_exit_code_catalog_order_mismatch(monkeypatch, capsys, argv):
+    """An asset order that the generators do not give is a failed
+    certificate, not a traceback."""
+    real = catalog._parse_asset()
+    wrong = {**real, "S4": {**real["S4"], "order": 12}}
+    monkeypatch.setattr(catalog, "_parse_asset", lambda: wrong)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_CERTIFICATE
+    assert "certificate failed: catalog entry S4: generators give order 24, asset says 12" in err
+
+
 def test_exit_code_failed_table_certificate(monkeypatch, capsys):
     import fmrep.chartab
 

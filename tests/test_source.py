@@ -21,3 +21,17 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_no_assertion_errors_raised():
+    """Every failure ends in a documented exit code, never a traceback:
+    an AssertionError escapes the CLI's handlers."""
+    found = [
+        f"{module.name}:{node.lineno}"
+        for module in MODULES
+        for node in ast.walk(ast.parse(module.read_text(), str(module)))
+        if isinstance(node, ast.Raise)
+        and node.exc is not None
+        and "AssertionError" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
+    ]
+    assert found == []

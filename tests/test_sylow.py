@@ -6,6 +6,7 @@ check raises that `-O` cannot strip.
 """
 
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from fmrep.catalog import CATALOG, load_group
 from fmrep.permcore import (
     CapExceeded,
     CertificateError,
+    PermGroup,
     _lex_chain,
     _lex_first,
     _p_order,
@@ -90,7 +92,7 @@ def test_walk_yields_p_elements_in_lex_order(name, G):
     order m, for every prime p and every power m of p up to the limit,
     as a scan of G in lex order does (None when there is none)."""
     for H in relabelled(name, G):
-        levels = _lex_chain(H.generators, H.degree, H.order)
+        levels = _lex_chain(H)
         elements = sorted(H.elements())
         for p in primes_dividing(H.order):
             m = 1
@@ -106,7 +108,7 @@ def test_lex_first_finds_the_next_growth_step(name, G):
     """The growth search (the lex-first p-element of N_G(P) outside P),
     at every P that the full-scan oracle grows, against the oracle."""
     for H in relabelled(name, G):
-        levels = _lex_chain(H.generators, H.degree, H.order)
+        levels = _lex_chain(H)
         for p in primes_dividing(H.order):
             for gens, expected in full_scan_growth(H, p):
                 pset = set(group_from_generators(gens, H.degree).elements())
@@ -124,30 +126,44 @@ def test_start_search_prunes_by_points_left_for_the_cycle():
     pruned, so the search builds 44 nodes (396 node-points); a lex scan
     of S9 meets 1,314 3-elements before it, 1,233 of them fixing 0."""
     G = S(9)
-    levels = _lex_chain(G.generators, 9, G.order)
+    levels = _lex_chain(G)
     found, work = _lex_first(levels, 9, 9, lambda x: perm_order(x) == 9)
     assert found == (1, 2, 3, 4, 5, 6, 7, 8, 0)
     assert work <= 1000
 
 
-@pytest.mark.parametrize("name,G", WALKED, ids=[n for n, _ in WALKED])
+LEX_CHECKED = WALKED + [(name, None) for name in CATALOG if name not in dict(WALKED)]
+
+
+@pytest.mark.parametrize("name,G", LEX_CHECKED, ids=[n for n, _ in LEX_CHECKED])
 def test_lex_chain_has_lex_base(name, G):
-    """The chain both searches walk, on G and on G with its points
-    relabelled: base points increase, the level-i transversal fixes every
-    point before b_i and maps b_i to its key, and the transversal sizes
-    multiply to |G|."""
+    """Every PermGroup chain is lex, on G (the catalog groups beyond
+    WALKED, stretch tier too, are loaded here), on G built again through
+    PermGroup._of_order, and both ways on G under two random renamings:
+    the base increases, each strong generator at level l fixes every
+    point before base[l], some one moves base[l], and the transversal
+    sizes multiply to |G|.  _lex_chain reads the chain: the level-l
+    transversal element keyed pt maps base[l] to pt and fixes every
+    point before base[l]."""
+    G = load_group(name) if G is None else G
+    rng = random.Random(name)
+    builds = [G, PermGroup._of_order(G.generators, G.degree, G.order)]
+    for _ in range(2):
+        sigma = list(range(G.degree))
+        rng.shuffle(sigma)
+        gens = [conjugate(g, tuple(sigma)) for g in G.generators]
+        builds += [PermGroup(gens, G.degree), PermGroup._of_order(gens, G.degree, G.order)]
     ident = identity(G.degree)
-    for H in relabelled(name, G):
-        levels = _lex_chain(H.generators, G.degree, G.order)
-        bases = [b for b, _ in levels]
-        assert bases == sorted(set(bases))
-        size = 1
-        for b, left in levels:
+    for H in builds:
+        assert H.base == sorted(set(H.base))
+        for b, strong in zip(H.base, H._strong):
+            assert all(s[i] == i for s in strong for i in range(b))
+            assert any(s[b] != b for s in strong)
+        assert prod(map(len, H._transversals)) == G.order
+        for b, left in _lex_chain(H):
             for pt, u in left.items():
                 u = u(ident)
                 assert u[b] == pt and all(u[i] == i for i in range(b))
-            size *= len(left)
-        assert size == G.order
 
 
 # -- same subgroup as the full scan -------------------------------------------
