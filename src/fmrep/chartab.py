@@ -89,7 +89,7 @@ def character_table(S: PermGroup) -> CharacterTable:
         exponent = lcm(exponent, c.element_order)
 
     ell = _dixon_prime(exponent, S.order)
-    class_elements = _class_elements(S, lookup, k)
+    class_elements = _class_elements(lookup, k)
     inv_class = [lookup[inverse(r)] for r in reps]
 
     omegas = _split_eigenvectors(class_elements, reps, lookup, ell)
@@ -159,7 +159,7 @@ def character_table(S: PermGroup) -> CharacterTable:
 # ------------------------------------------------------------ internals
 
 
-def _class_elements(S, lookup, k):
+def _class_elements(lookup, k):
     out = [[] for _ in range(k)]
     for x in sorted(lookup):
         out[lookup[x]].append(x)

@@ -24,6 +24,7 @@ from .fusion import InvalidPartition, fusion_from_partition, fusion_pattern
 from .permcore import (
     CapExceeded,
     CertificateError,
+    _p_part,
     group_from_generators,
     is_prime,
     max_point,
@@ -118,10 +119,7 @@ def run_analysis(G, prime, mode="full", partition=None, name="?",
     t0 = time.perf_counter()
     if partition is not None:
         S = G
-        n = S.order
-        while n % prime == 0:
-            n //= prime
-        if n != 1:
+        if _p_part(S.order, prime) != S.order:
             raise InputError(
                 f"--partition needs the input group to be a {prime}-group; order is {S.order}"
             )

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import factorial, gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from operator import itemgetter
 
 Perm = tuple
@@ -67,13 +67,12 @@ def power(p, n):
     return q
 
 
-def cycles(p, points=None):
+def cycles(p):
     """Cycles of p as point lists, each starting at its least point, in
-    ascending order of that point; fixed points are 1-cycles.  `points`
-    restricts the walk to a p-invariant point set."""
+    ascending order of that point; fixed points are 1-cycles."""
     seen = bytearray(len(p))
     out = []
-    for i in range(len(p)) if points is None else sorted(points):
+    for i in range(len(p)):
         if seen[i]:
             continue
         cyc, j = [i], p[i]
@@ -339,29 +338,6 @@ class PermGroup:
         for h in self._elements_level(level + 1):
             yield from map(_left(h), reps)
 
-    def moved_points(self):
-        moved = set()
-        for g in self.generators:
-            moved.update(i for i in range(self.degree) if g[i] != i)
-        return sorted(moved)
-
-    def is_natural_symmetric(self):
-        """True iff the group is the full symmetric group on its moved points."""
-        moved = self.moved_points()
-        return len(moved) >= 2 and self.order == factorial(len(moved))
-
-    def is_natural_alternating(self):
-        """True iff the group is the alternating group on its moved points."""
-        moved = self.moved_points()
-        if len(moved) < 3 or 2 * self.order != factorial(len(moved)):
-            return False
-        return all(_parity(g) == 0 for g in self.generators)
-
-
-def _parity(p):
-    """0 for even permutations, 1 for odd."""
-    return (len(p) - len(cycles(p))) & 1
-
 
 def group_from_generators(gens, degree=None):
     """Group generated by `gens`; empty list gives the trivial group."""
@@ -381,8 +357,9 @@ def trivial_group(degree):
 
 
 # Most work the lex walks of one sylow_subgroup call may do, in node-points
-# (nodes built times the degree): PSL3_19 needs 1.8e7, S16 at p = 3 2e7, and
-# PSL4_7 stops here after a 2.5 s walk on a 2-core x86-64 VM.
+# (nodes built times the degree): PSL3_19 needs 1.2e7, S16 at p = 3 6e5 and
+# S17 at p = 2 9e6 (5 s: its nodes AND masks of |P| = 2^15 bits), and PSL4_7
+# stops here after a 2.5 s walk on a 2-core x86-64 VM.
 SYLOW_STREAM_CAP = 5 * 10**7
 # Most nodes one conjugacy search of a fusion decision builds.
 CONJUGACY_CAP = 10**6
@@ -430,7 +407,9 @@ def _lex_first(levels, n, bound, keep_leaf, normalizing=None, work=0):
     - normalizing = (gens, elements) of P (s^x in P for s in gens): each
       pair (i, s(i)) is checked where its larger end lies, by ANDing
       masks[x(i)][x(s(i))], the bitmask of the h in P that map x(i)
-      there, into the mask s carries down; an empty mask prunes.
+      there, into the mask s carries down; an empty mask prunes, and so
+      does x(j) in a P-orbit of another length than j's (len(masks[j])),
+      as every normalizer of P maps P-orbits onto P-orbits.
     So no wanted element is lost, and at a leaf s^x is in P.  Raises
     CapExceeded once work exceeds SYLOW_STREAM_CAP.
     """
@@ -455,6 +434,8 @@ def _lex_first(levels, n, bound, keep_leaf, normalizing=None, work=0):
             x = left[pt](c)
             shut, has = closed, whole
             for j in window:
+                if elements and len(masks[x[j]]) != len(masks[j]):
+                    break
                 k, length = x[j], 1
                 while k < j:
                     k, length = x[k], length + 1
@@ -583,27 +564,6 @@ def class_partition(S):
 # -- conjugacy testing -----------------------------------------------------
 
 
-def _alternating_conjugate(x, y, points):
-    """Whether x and y, of one cycle type on the invariant set `points`,
-    are conjugate in Alt(points).
-
-    They are when some odd permutation of `points` centralizes x (x has
-    an even-length cycle, or two cycles of one length: the cycle, or the
-    swap of the two, is one).  Otherwise the cycle lengths are distinct,
-    and they are exactly when the conjugator that maps each cycle of x
-    onto the cycle of y of the same length is even.
-    """
-    cx, cy = (sorted(cycles(p, points), key=len) for p in (x, y))
-    lengths = [len(c) for c in cx]
-    if any(n % 2 == 0 for n in lengths) or len(set(lengths)) < len(lengths):
-        return True
-    s = list(range(len(x)))
-    for a, b in zip(cx, cy):
-        for u, v in zip(a, b):
-            s[u] = v
-    return _parity(s) == 0
-
-
 def _cycle_length_map(p):
     """Length of the cycle of p through each point."""
     lengths = [0] * len(p)
@@ -701,25 +661,16 @@ def _conjugator_search(G, x):
 def _conjugates_among(G, x, ys):
     """The members of ys that are conjugate to x in G.
 
-    Candidates of another cycle type drop out first.  When x and every
-    candidate fix each point that G fixes, the full symmetric group on
-    the moved points keeps all of them and the alternating group decides
-    by _alternating_conjugate.  Otherwise one backtrack search per
-    candidate y, over one chain built for x (_conjugator_search), finds
-    a g in G with x^g = y or proves there is none; each found g is
-    certified: CertificateError unless g is in G and conjugate(x, g) == y.
+    Candidates of another cycle type drop out first.  Then one backtrack
+    search per candidate y, over one chain built for x
+    (_conjugator_search), finds a g in G with x^g = y or proves there is
+    none; each found g is certified: CertificateError unless g is in G
+    and conjugate(x, g) == y.
     """
     ctype = cycle_lengths(x)
     ys = [y for y in ys if cycle_lengths(y) == ctype]
     if not ys:
         return []
-    moved = G.moved_points()
-    fixed = set(range(G.degree)).difference(moved)
-    if all(p[i] == i for p in (x, *ys) for i in fixed):
-        if G.is_natural_symmetric():
-            return ys
-        if G.is_natural_alternating():
-            return [y for y in ys if _alternating_conjugate(x, y, moved)]
     find = _conjugator_search(G, x)
     out = []
     for y in ys:

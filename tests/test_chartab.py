@@ -148,7 +148,7 @@ def _split_inputs(G):
     classes, lookup = class_partition(G)
     k = len(classes)
     ell = chartab._dixon_prime(lcm(*(c.element_order for c in classes)), G.order)
-    return chartab._class_elements(G, lookup, k), [c.representative for c in classes], lookup, ell
+    return chartab._class_elements(lookup, k), [c.representative for c in classes], lookup, ell
 
 
 @pytest.mark.parametrize("name,G", all_groups_up_to_16() + sylow_products())

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -339,7 +340,7 @@ def _bfs_class_lookup(G):
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_symmetric_fast_path_exhaustive(n):
     G = S(n)
-    assert G.is_natural_symmetric()
+    assert G.order == factorial(n)
     lookup = _bfs_class_lookup(G)
     elems = sorted(G.elements())
     for x in elems:
@@ -355,7 +356,7 @@ def test_symmetric_fast_path_exhaustive(n):
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_alternating_fast_path_exhaustive(n):
     G = A(n)
-    assert G.is_natural_alternating()
+    assert 2 * G.order == factorial(n)
     lookup = _bfs_class_lookup(G)
     elems = sorted(G.elements())
     rng = random.Random(n)
@@ -394,8 +395,8 @@ def test_conjugacy_cap_exceeded(monkeypatch):
 @pytest.mark.parametrize("rule_group", [S, A])
 def test_is_conjugate_moves_points_g_fixes(rule_group):
     # S5 and A5 acting on 6 points: point 6 is fixed by G, so (5,6) is
-    # conjugate only to transpositions through 6, never to (1,2); the
-    # group rules do not apply, and the search decides
+    # conjugate only to transpositions through 6, never to (1,2), though
+    # both have one cycle type
     G = group_from_generators([g + (5,) for g in rule_group(5).generators])
     x, y = parse_perm("(5,6)", 6), parse_perm("(1,2)", 6)
     assert orbit_walk_conjugates(G, x, [y]) == []
@@ -423,18 +424,15 @@ def _oracle_labels(G, reps):
 
 
 def test_fusion_dispatch_matches_orbit_walk(pipelines):
-    """Fusion labels, by the group rules or the search, against the
-    orbit-walk oracle on every fast and table catalog entry."""
-    natural = []
+    """Fusion labels, by the cycle-type filter and the search, against
+    the orbit-walk oracle on every fast and table catalog entry, the
+    symmetric and alternating groups among them."""
     for name, entry in CATALOG.items():
         if entry.tier not in ("fast", "table"):
             continue
         G = pipelines.group(name)
-        if G.is_natural_symmetric() or G.is_natural_alternating():
-            natural.append(name)
         reps = [c.representative for c in class_partition(sylow_subgroup(G, entry.prime))[0]]
         assert _blocks(fuse_by_conjugacy(G, reps)) == _blocks(_oracle_labels(G, reps)), name
-    assert natural == ["S3", "S4", "S6", "S8", "S9", "A6", "A8", "A9"]
 
 
 def _random_element(G, rng):
@@ -456,7 +454,7 @@ S4xS3 = group_from_generators([parse_perm(c, 7) for c in ("(1,2)", "(1,2,3,4)", 
 
 @pytest.mark.parametrize("name", [n for n, e in CATALOG.items() if e.tier != "stretch"] + ["S4xS3"])
 def test_conjugator_search_random_pairs(name):
-    """The search alone, with no group rule in front of it, on every
+    """The search alone, with no cycle-type filter in front of it, on every
     catalog group outside the stretch tier (|G| <= 372000) and on S4 x S3:
     y = x^g for random g is always found, and for random y of x's cycle
     type it agrees with the orbit-walk oracle."""
@@ -482,8 +480,8 @@ def test_conjugator_search_random_pairs(name):
 def test_conjugator_search_random_groups(data):
     """Random groups of degree <= 8, x and h random permutations of the
     points: x^g for g in G is found, and x^h is found exactly when the
-    orbit-walk oracle finds it; _conjugates_among, group rules included,
-    agrees with the oracle on both."""
+    orbit-walk oracle finds it; _conjugates_among, cycle-type filter
+    included, agrees with the oracle on both."""
     n = data.draw(st.integers(1, 8))
     perm = st.permutations(range(n)).map(tuple)
     G = group_from_generators(data.draw(st.lists(perm, max_size=3)), n)

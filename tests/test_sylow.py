@@ -201,6 +201,14 @@ def test_restart_when_exponent_exceeds_guess(monkeypatch):
     assert starts == [2, 4]
 
 
+@pytest.mark.parametrize("n,p,order", [(14, 7, 49), (15, 5, 125)])
+def test_growth_prunes_by_p_orbit_length(n, p, order):
+    # P moves only the last points, so a growth walk that checked only
+    # the pairs (i, s(i)) would try every map of the points before them;
+    # the P-orbit lengths prune those maps at once
+    assert sylow_subgroup(S(n), p).order == order
+
+
 # -- stream cap and certificates -----------------------------------------------
 
 
