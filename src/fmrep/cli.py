@@ -255,22 +255,13 @@ def main(argv=None):
             print(f"{entry.name:<9} p={entry.prime}  tier={entry.tier:<7} {expect}{note}")
         return EXIT_OK
 
-    if args.command == "verify":
-        try:
-            mismatches = verify_catalog(args.tier)
-        except CapExceeded as ex:
-            print(f"cap exceeded: {ex}", file=sys.stderr)
-            return EXIT_CAP
-        except CertificateError as ex:
-            print(f"certificate failed: {ex}", file=sys.stderr)
-            return EXIT_CERTIFICATE
-        if mismatches:
-            print(f"{len(mismatches)} expectation mismatch(es)", file=sys.stderr)
-            return EXIT_MISMATCH
-        return EXIT_OK
-
-    # run
     try:
+        if args.command == "verify":
+            mismatches = verify_catalog(args.tier)
+            if mismatches:
+                print(f"{len(mismatches)} expectation mismatch(es)", file=sys.stderr)
+                return EXIT_MISMATCH
+            return EXIT_OK
         G, name, kind, default_prime = resolve_group(args.group, args.allow_stretch)
         prime = args.prime if args.prime is not None else default_prime
         if prime is None:

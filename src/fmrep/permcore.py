@@ -356,13 +356,14 @@ def trivial_group(degree):
 # -- Sylow subgroups ------------------------------------------------------
 
 
-# Most work the lex walks of one sylow_subgroup call may do, in node-points
-# (nodes built times the degree): PSL3_19 needs 1.2e7, S16 at p = 3 6e5 and
-# S17 at p = 2 9e6 (5 s: its nodes AND masks of |P| = 2^15 bits), and PSL4_7
-# stops here after a 2.5 s walk on a 2-core x86-64 VM.
+# Most work the walks of one sylow_subgroup call may do, in node-points (each
+# child tried costs the degree): PSL3_19 needs 1.2e7, S16 at p = 3 6e5 and
+# S17 at p = 2 9e6 (4 s: its nodes AND masks of |P| = 2^15 bits), and PSL4_7
+# stops here after a 3 s walk on a 2-core x86-64 VM.
 SYLOW_STREAM_CAP = 5 * 10**7
-# Most nodes one conjugacy search of a fusion decision builds.
-CONJUGACY_CAP = 10**6
+# Most work one conjugacy search of a fusion decision may do, in node-points:
+# the largest search of PSL3_19 (degree 381) needs 4.7e7 in about 1 s.
+CONJUGACY_CAP = 4 * 10**8
 
 
 def is_prime(n):
@@ -378,7 +379,7 @@ def _p_part(n, p):
 
 
 def _lex_chain(H):
-    """H's stabilizer chain in the form the lex walks read: (b_i, {point:
+    """H's stabilizer chain in the form the walks read: (b_i, {point:
     q -> mul(u, q)}) per level, where u in H_i maps b_i to point.  Every
     PermGroup chain is lex (see PermGroup._build): b_i is the least point
     moved by the stabilizer H_i of b_0, ..., b_(i-1), so b_0 < b_1 < ...,
@@ -386,20 +387,63 @@ def _lex_chain(H):
     return [(b, {pt: _left(u) for pt, u in trans.items()}) for b, trans in zip(H.base, H._transversals)]
 
 
-def _lex_first(levels, n, bound, keep_leaf, normalizing=None, work=0):
-    """(x, work): x is the lex-least element (by image tuples) of the
-    group whose _lex_chain is `levels`, among those whose cycle lengths
-    all divide bound and that keep_leaf accepts, or None.  work carries
-    over between searches and grows by the degree n per node built.
+def _windows(levels, n, perms):
+    """Per window w = [b_(w-1), b_w) of the chain `levels` (b_(-1) = 0 and
+    b_w = n past the last level): its points, and for each p in perms
+    the pairs (i, p(i)) whose larger end lies in it."""
+    bounds = [0] + [b for b, _ in levels] + [n]
+    return [
+        (range(lo, hi), [[(i, p[i]) for i in range(n) if lo <= max(i, p[i]) < hi] for p in perms])
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
 
-    A node at level i is a coset map c: every element below it agrees
-    with c before end_i, the next base point (the degree at the last
-    level).  Its children u * c, one per transversal element u, map the
-    base point b to distinct points c[u[b]] and share the images before
-    b, so visiting them in increasing order of c[u[b]] makes
-    depth-first order lex order.  A child is checked on the window
-    [b, end_i) it newly fixes (the root's [0, b_0) is fixed by G) and
-    pruned when the check rules out every element below it:
+
+def _walk(levels, n, children, accept, leaf, state, work, cap, what):
+    """(x, work): the first element x, in depth-first order, of the group
+    whose _lex_chain is `levels` that passes every check on the way down
+    and leaf(x), or None.
+
+    A node at depth d is a coset map c: every element below it agrees
+    with c before b_d (H_d fixes those points; b_d is the degree n at
+    the leaves, depth len(levels)).  Its children are u * c for the
+    transversal elements u of level d; the child keyed pt in `left` maps
+    b_d to c[pt], and children(c, d, left) lists the keys to try, in
+    visiting order.  A node x at depth w is checked on the window
+    w = [b_(w-1), b_w) it newly fixes (the root on [0, b_0), which the
+    group fixes): accept(x, w, state) takes the state of x's parent (the
+    root's is `state`) and returns x's own, or None when the check rules
+    out every element below x.  So pruning loses no wanted element, and
+    as the windows cover every point, a leaf has passed every check.
+    work carries over between walks and grows by n per child tried;
+    CapExceeded once it exceeds cap.
+    """
+    stack = [(identity(n), 0, state)]
+    while stack:
+        c, d, state = stack.pop()
+        state = accept(c, d, state)
+        if state is None:
+            continue
+        if d == len(levels):
+            if leaf(c):
+                return c, work
+            continue
+        left = levels[d][1]
+        pts = children(c, d, left)
+        work += len(pts) * n
+        if work > cap:
+            raise CapExceeded(f"{what} exceeds cap {cap} node-points")
+        stack += [(left[pt](c), d + 1, state) for pt in reversed(pts)]  # the first child is popped first
+    return None, work
+
+
+def _lex_first(levels, n, bound, keep_leaf, normalizing=None, work=0):
+    """(x, work) from one _walk: x is the lex-least element (by image
+    tuples) of the group whose _lex_chain is `levels`, among those whose
+    cycle lengths all divide bound and that keep_leaf accepts, or None.
+
+    Children keyed pt map the base point b to distinct points c[pt] and
+    share the images before b, so visiting them in increasing c[pt]
+    makes depth-first order lex order.  A window prunes a node when:
     - a cycle that closes there, counted once at its largest point, has
       a length not dividing bound;
     - normalizing None (order exactly bound): no closed cycle has length
@@ -410,52 +454,39 @@ def _lex_first(levels, n, bound, keep_leaf, normalizing=None, work=0):
       there, into the mask s carries down; an empty mask prunes, and so
       does x(j) in a P-orbit of another length than j's (len(masks[j])),
       as every normalizer of P maps P-orbits onto P-orbits.
-    So no wanted element is lost, and at a leaf s^x is in P.  Raises
-    CapExceeded once work exceeds SYLOW_STREAM_CAP.
+    So at a leaf s^x is in P.  Raises CapExceeded once work exceeds
+    SYLOW_STREAM_CAP node-points.
     """
     gens, elements = normalizing or ((), ())
     masks = [{} for _ in range(n)]
     for bit, h in enumerate(elements):
         for a, b in enumerate(h):
             masks[a][b] = masks[a].get(b, 0) | 1 << bit
-    windows = [
-        (range(b, end), [[(i, s[i]) for i in range(n) if b <= max(i, s[i]) < end] for s in gens])
-        for (b, _), end in zip(levels, [b for b, _ in levels[1:]] + [n])
-    ]
-    stack = [(identity(n), 0, levels[0][0], False, [(1 << len(elements)) - 1] * len(gens))]
-    while stack:
-        c, d, closed, whole, cands = stack.pop()
-        (_, left), (window, pairs) = levels[d], windows[d]
-        work += len(left) * n
-        if work > SYLOW_STREAM_CAP:
-            raise CapExceeded(f"sylow: lex walk exceeds cap {SYLOW_STREAM_CAP} node-points")
-        kids = []
-        for pt in sorted(left, key=c.__getitem__):
-            x = left[pt](c)
-            shut, has = closed, whole
-            for j in window:
-                if elements and len(masks[x[j]]) != len(masks[j]):
-                    break
-                k, length = x[j], 1
-                while k < j:
-                    k, length = x[k], length + 1
-                if k == j:
-                    if bound % length:
-                        break
-                    shut, has = shut + length, has or length == bound
-            else:
-                new = list(cands)
-                for g, ps in enumerate(pairs):
-                    for i, j in ps:
-                        new[g] &= masks[x[i]].get(x[j], 0)
-                if not all(new) or (normalizing is None and not has and n - shut < bound):
-                    continue
-                if d + 1 < len(levels):
-                    kids.append((x, d + 1, shut, has, new))
-                elif keep_leaf(x):
-                    return x, work
-        stack += reversed(kids)
-    return None, work
+    windows = _windows(levels, n, gens)
+
+    def accept(x, w, state):
+        shut, has, cands = state
+        window, pairs = windows[w]
+        for j in window:
+            if elements and len(masks[x[j]]) != len(masks[j]):
+                return None
+            k, length = x[j], 1
+            while k < j:
+                k, length = x[k], length + 1
+            if k == j:
+                if bound % length:
+                    return None
+                shut, has = shut + length, has or length == bound
+        cands = list(cands)
+        for g, ps in enumerate(pairs):
+            for i, j in ps:
+                cands[g] &= masks[x[i]].get(x[j], 0)
+        if not all(cands) or (normalizing is None and not has and n - shut < bound):
+            return None
+        return shut, has, cands
+
+    return _walk(levels, n, lambda c, d, left: sorted(left, key=c.__getitem__), accept, keep_leaf,
+                 (0, False, [(1 << len(elements)) - 1] * len(gens)), work, SYLOW_STREAM_CAP, "sylow: lex walk")
 
 
 def sylow_subgroup(G, p):
@@ -566,11 +597,8 @@ def class_partition(S):
 
 def _cycle_length_map(p):
     """Length of the cycle of p through each point."""
-    lengths = [0] * len(p)
-    for cyc in cycles(p):
-        for i in cyc:
-            lengths[i] = len(cyc)
-    return lengths
+    lengths = {i: len(cyc) for cyc in cycles(p) for i in cyc}
+    return [lengths[i] for i in range(len(p))]
 
 
 def _conjugator_search(G, x):
@@ -578,31 +606,19 @@ def _conjugator_search(G, x):
 
     Set-up, once per x: relabel the points so that x's cycles are
     consecutive runs, longest first, and take the chain of the group the
-    relabelled generators give.  Its lex base points b_0 < b_1 < ... then follow
-    x's cycles, and most base points find their x-preimage before them.
-
-    find walks that chain depth first.  A node at depth d is a coset map
-    c: every element below it agrees with c on the points before b_d
-    (the stabilizer H_d fixes them; at the last depth b_d is the degree).
-    Its children are u * c for the transversal elements u of level d;
-    the child maps b = b_d to c[u[b]].
-
-    g conjugates x to y exactly when y[g[i]] = g[x[i]] for every point i.
+    relabelled generators give.  Its lex base points b_0 < b_1 < ... then
+    follow x's cycles, and most base points find their x-preimage before
+    them.  find is one _walk of that chain; g conjugates x to y exactly
+    when y[g[i]] = g[x[i]] for every point i, so at a node c:
     - Forced child: if x^-1(b) < b, every conjugator g below c has
       g(b) = y(c(x^-1 b)), so at most one child is kept, by lookup.
     - Otherwise a conjugator maps b's x-cycle onto a y-cycle of the same
       length, so only children that send b onto such a y-cycle are kept.
-    - A node at depth d is checked on the window [b_(d-1), b_d) (the
-      root on [0, b_0)): the x-cycle length of each point there against
+    - A window checks the x-cycle length of each of its points against
       the y-cycle length of its image, and y[g[i]] = g[x[i]] for every
-      pair (i, x[i]) whose later end lies there.
-    Every element below a node agrees with it before b_d, so a failed
-    check rules out every element below it, and the pruning loses no
-    conjugator.  The windows cover every point, so a leaf is a
-    conjugator.
-
-    Raises CapExceeded once one find builds more than CONJUGACY_CAP
-    nodes.
+      pair (i, x[i]) whose later end lies in it.
+    So every leaf is a conjugator.  Raises CapExceeded once one find
+    exceeds CONJUGACY_CAP node-points.
     """
     n = G.degree
     order = tuple(i for cyc in sorted(cycles(x), key=len, reverse=True) for i in cyc)
@@ -616,44 +632,26 @@ def _conjugator_search(G, x):
     xr = relabel(x)
     xinv = inverse(xr)
     xlen = _cycle_length_map(xr)
-    bounds = [0] + [b for b, _ in levels] + [n]
-    checks = [
-        (range(lo, hi), [(i, xr[i]) for i in range(n) if lo <= max(i, xr[i]) < hi])
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
-    levels = [(b, left, xinv[b] < b) for b, left in levels]
+    windows = _windows(levels, n, [xr])
 
     def find(y):
         yr = relabel(y)
         ylen = _cycle_length_map(yr)
 
-        def passes(g, d):
-            window, pairs = checks[d]
-            return all(ylen[g[j]] == xlen[j] for j in window) and all(yr[g[i]] == g[j] for i, j in pairs)
-
-        root = identity(n)
-        if not passes(root, 0):
-            return None
-        stack = [(root, 0)]
-        built = 1
-        while stack:
-            c, d = stack.pop()
-            if d == len(levels):
-                return _left(unpick(c))(order)  # in G's point names
-            b, left, forced = levels[d]
-            if forced:
+        def children(c, d, left):
+            b = levels[d][0]
+            if xinv[b] < b:
                 pt = c.index(yr[c[xinv[b]]])
-                pts = [pt] if pt in left else []
-            else:
-                pts = [pt for pt in left if ylen[c[pt]] == xlen[b]]
-            built += len(pts)
-            if built > CONJUGACY_CAP:
-                raise CapExceeded(f"fusion: conjugacy search exceeds cap {CONJUGACY_CAP} nodes")
-            for pt in pts:
-                child = left[pt](c)
-                if passes(child, d + 1):
-                    stack.append((child, d + 1))
-        return None
+                return [pt] if pt in left else []
+            return [pt for pt in left if ylen[c[pt]] == xlen[b]]
+
+        def accept(g, w, state):
+            window, (pairs,) = windows[w]
+            ok = all(ylen[g[j]] == xlen[j] for j in window) and all(yr[g[i]] == g[j] for i, j in pairs)
+            return state if ok else None
+
+        g, _ = _walk(levels, n, children, accept, lambda g: True, True, 0, CONJUGACY_CAP, "fusion: conjugacy search")
+        return None if g is None else _left(unpick(g))(order)  # in G's point names
 
     return find
 

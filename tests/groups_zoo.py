@@ -192,3 +192,13 @@ def psl2(q):
     shift = perm(lambda x: None if x is None else (x + 1) % q)
     invert = perm(lambda x: 0 if x is None else None if x == 0 else -pow(x, -1, q) % q)
     return group_from_generators([shift, invert], q + 1)
+
+
+def groups_fixing_first_points():
+    """(name, PermGroup) pairs that fix their first points, so a walk of
+    their chain checks a non-empty root window: S5 on the points 3..7 of
+    7, and S4 x S3 on the points 4..10 of 10."""
+    return [
+        ("S5on3-7", _perm_group("(3,4)", "(3,4,5,6,7)", 7)),
+        ("S4xS3on4-10", _perm_group("(4,5)", "(4,5,6,7)", "(8,9)", "(8,9,10)", 10)),
+    ]

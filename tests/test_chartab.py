@@ -144,6 +144,18 @@ def test_against_numeric_oracle_sylow_products(name, G):
     assert list(character_table(G).chars) == numeric_character_table(G)
 
 
+@pytest.mark.parametrize("name", [n for n, e in CATALOG.items() if e.tier in ("fast", "table")])
+def test_against_numeric_oracle_random_subgroups_of_catalog_sylow(name, pipelines):
+    """Three subgroups of a catalog Sylow subgroup S, generated by one,
+    two and two random elements of S (orders 1 to |S|, k up to 17)."""
+    S = pipelines.run(name)[1]
+    rng = random.Random(name)
+    elements = list(S.elements())
+    for k in (1, 2, 2):
+        H = group_from_generators([rng.choice(elements) for _ in range(k)], S.degree)
+        assert list(character_table(H).chars) == numeric_character_table(H), (name, k)
+
+
 def _split_inputs(G):
     classes, lookup = class_partition(G)
     k = len(classes)

@@ -222,7 +222,7 @@ def _symmetric_file(tmp_path, n):
 
 
 def test_exit_code_sylow_stream_cap(monkeypatch, tmp_path, capsys):
-    # S11 at p = 2 passes the Sylow stage under the real cap (1.2e5 node-points)
+    # S11 at p = 2 passes the Sylow stage under the real cap (6.8e4 node-points)
     monkeypatch.setattr(permcore, "SYLOW_STREAM_CAP", 10**4)
     start = time.perf_counter()
     code, _, err = run_cli(capsys, "run", "--group", str(_symmetric_file(tmp_path, 11)), "--prime", "2")
@@ -279,7 +279,15 @@ def test_exit_code_conjugacy_cap(monkeypatch, capsys):
     monkeypatch.setattr(permcore, "CONJUGACY_CAP", 16)
     code, _, err = run_cli(capsys, "run", "--group", "M10")
     assert code == EXIT_CAP
-    assert "cap exceeded: fusion: conjugacy search exceeds cap 16 nodes" in err
+    assert "cap exceeded: fusion: conjugacy search exceeds cap 16 node-points" in err
+
+
+def test_verify_exit_code_conjugacy_cap(monkeypatch, capsys):
+    # verify and run map errors to exit codes in one except chain
+    monkeypatch.setattr(permcore, "CONJUGACY_CAP", 16)
+    code, _, err = run_cli(capsys, "verify", "--tier", "fast")
+    assert code == EXIT_CAP
+    assert "cap exceeded: fusion: conjugacy search exceeds cap 16 node-points" in err
 
 
 def test_stretch_psu3_9_meets_its_expectation():

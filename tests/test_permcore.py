@@ -36,6 +36,7 @@ from fmrep.permcore import (
     trivial_group,
 )
 
+from .groups_zoo import groups_fixing_first_points
 from .oracles import orbit_walk_conjugates
 
 
@@ -388,7 +389,7 @@ def test_conjugacy_cap_exceeded(monkeypatch):
         conjugate(x, g) for g in G.generators if conjugate(x, g) != x
     )
     monkeypatch.setattr(permcore, "CONJUGACY_CAP", 1)
-    with pytest.raises(CapExceeded, match="fusion: conjugacy search exceeds cap 1 nodes"):
+    with pytest.raises(CapExceeded, match="fusion: conjugacy search exceeds cap 1 node-points"):
         is_conjugate(G, x, y)
 
 
@@ -450,18 +451,25 @@ def _assert_conjugator(G, x, y, g):
 # S4 x S3 on 7 points, intransitive: the stabilizer of its lex base
 # points 1, 2, 3 is S3 on {5, 6, 7}, which also fixes point 4
 S4xS3 = group_from_generators([parse_perm(c, 7) for c in ("(1,2)", "(1,2,3,4)", "(5,6)", "(5,6,7)")])
+# the groups beyond the catalog; in those that fix their first points, x = 1
+# is searched first, as the only x whose search checks a non-empty root
+# window (x's cycles come first in the relabelling, so G moves point 1 for
+# any other x)
+SMALL = {"S4xS3": S4xS3, **dict(groups_fixing_first_points())}
 
 
-@pytest.mark.parametrize("name", [n for n, e in CATALOG.items() if e.tier != "stretch"] + ["S4xS3"])
+@pytest.mark.parametrize("name", [n for n, e in CATALOG.items() if e.tier != "stretch"] + list(SMALL))
 def test_conjugator_search_random_pairs(name):
     """The search alone, with no cycle-type filter in front of it, on every
-    catalog group outside the stretch tier (|G| <= 372000) and on S4 x S3:
+    catalog group outside the stretch tier (|G| <= 372000), on S4 x S3,
+    and on S5 and S4 x S3 fixing their first points (x = 1 first there):
     y = x^g for random g is always found, and for random y of x's cycle
     type it agrees with the orbit-walk oracle."""
-    G = S4xS3 if name == "S4xS3" else load_group(name)
+    G = SMALL[name] if name in SMALL else load_group(name)
     rng = random.Random(name)
-    for _ in range(3):
-        x = _random_element(G, rng)
+    fixing = G.base[0] > 0
+    for k in range(3):
+        x = identity(G.degree) if fixing and k == 0 else _random_element(G, rng)
         find = _conjugator_search(G, x)
         y = conjugate(x, _random_element(G, rng))
         _assert_conjugator(G, x, y, find(y))

@@ -1,6 +1,8 @@
 """Rules about the source of fmrep itself."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import fmrep
@@ -35,3 +37,23 @@ def test_no_assertion_errors_raised():
         and "AssertionError" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
     ]
     assert found == []
+
+
+def _readme_number(text):
+    """A value as README writes it: "5·10^7" is 5 * 10**7, "300" is 300."""
+    factor, base, exponent = re.fullmatch(r"(?:(\d+)·)?(\d+)(?:\^(\d+))?", text.strip()).groups()
+    return int(factor or 1) * int(base) ** int(exponent or 1)
+
+
+def test_readme_cap_table_matches_the_code():
+    """Each row of README's cap table names module constants of fmrep and
+    their values, in order; each constant exists with that value."""
+    readme = (Path(fmrep.__file__).parents[2] / "README.md").read_text()
+    rows = [line.split("|")[1:3] for line in readme.splitlines() if line.startswith("| `")]
+    assert len(rows) == 5
+    for names, values in rows:
+        names = re.findall(r"`(\w+)\.(\w+)`", names)
+        values = [_readme_number(v) for v in values.split(",")]
+        assert len(names) == len(values) > 0
+        for (module, name), value in zip(names, values):
+            assert getattr(importlib.import_module(f"fmrep.{module}"), name) == value, (module, name)

@@ -31,10 +31,11 @@ from fmrep.permcore import (
     sylow_subgroup,
 )
 
-from .groups_zoo import all_groups_up_to_16
+from .groups_zoo import all_groups_up_to_16, groups_fixing_first_points
 from .oracles import full_scan_growth, full_scan_sylow, is_p_element
 
 ZOO = all_groups_up_to_16()
+FIXING = groups_fixing_first_points()
 
 
 def S(n):
@@ -74,7 +75,7 @@ CATALOG_GROUPS = [
     for name, entry in CATALOG.items()
     if entry.tier in ("fast", "table")
 ]
-WALKED = ZOO + [(f"S{n}", S(n)) for n in range(1, 8)] + [
+WALKED = ZOO + FIXING + [(f"S{n}", S(n)) for n in range(1, 8)] + [
     (name, G) for name, G in CATALOG_GROUPS if G.order <= 2 * 10**4
 ]
 
@@ -178,6 +179,15 @@ def test_symmetric_groups_every_prime(n):
 
 @pytest.mark.parametrize("name,G", ZOO, ids=[n for n, _ in ZOO])
 def test_zoo_every_prime(name, G):
+    for p in primes_dividing(G.order):
+        assert_same_as_oracle(G, p)
+
+
+@pytest.mark.parametrize("name,G", FIXING, ids=[n for n, _ in FIXING])
+def test_groups_fixing_first_points_every_prime(name, G):
+    # G fixes the points before its first base point, so every walk
+    # checks them in the root window before it builds a child
+    assert _lex_chain(G)[0][0] > 1
     for p in primes_dividing(G.order):
         assert_same_as_oracle(G, p)
 
