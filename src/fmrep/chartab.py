@@ -182,8 +182,8 @@ def _primitive_root(ell):
     raise CertificateError(f"no primitive root mod {ell}")
 
 
-def _rref_mod(rows, ell, reduce_above=True):
-    """(Reduced, if reduce_above) row echelon form mod ell; returns (rows, pivot_cols)."""
+def _rref_mod(rows, ell):
+    """Reduced row echelon form mod ell; returns (rows, pivot_cols)."""
     rows = [[x % ell for x in r] for r in rows]
     pivots = []
     r = 0
@@ -195,7 +195,7 @@ def _rref_mod(rows, ell, reduce_above=True):
         # rows r, r+1, ... are zero left of column c, so only columns c, c+1, ... change
         inv = pow(rows[r][c], ell - 2, ell)
         pivot_row = rows[r][c:] = [x * inv % ell for x in rows[r][c:]]
-        for i in range(0 if reduce_above else r + 1, len(rows)):
+        for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
                 rows[i][c:] = [(x - f * y) % ell for x, y in zip(rows[i][c:], pivot_row)]
@@ -206,18 +206,15 @@ def _rref_mod(rows, ell, reduce_above=True):
 
 def _nullspace_mod(M, ell):
     """Basis of {y : M*y = 0 mod ell} for square M, one vector per free column
-    (1 there, 0 at the others), by row echelon form and back substitution."""
+    fc (1 there, 0 at the other free columns), read off the RREF R of M:
+    y[p_i] = -R[i][fc] at the pivot column p_i of row i."""
     n = len(M)
-    echelon, pivots = _rref_mod(M, ell, reduce_above=False)
-    # last pivot first: its column, and the columns and values of the nonzero entries right of it
-    tails = [(pc, [j for j in range(pc + 1, n) if row[j]], row) for row, pc in zip(echelon, pivots)]
-    tails = [(pc, cols, [row[j] for j in cols]) for pc, cols, row in reversed(tails)]
+    rref, pivots = _rref_mod(M, ell)
     basis = []
     for fc in (c for c in range(n) if c not in pivots):
-        y = [0] * n
-        y[fc] = 1
-        for pc, cols, values in tails:
-            y[pc] = -sum(map(operator.mul, values, map(y.__getitem__, cols))) % ell
+        y = [int(c == fc) for c in range(n)]
+        for row, pc in zip(rref, pivots):
+            y[pc] = -row[fc] % ell
         basis.append(y)
     return basis
 

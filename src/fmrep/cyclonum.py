@@ -8,8 +8,10 @@ equality.  Coefficients are exact rationals; no floating point enters
 the arithmetic (floats appear only in the complex-evaluation sanity
 helper).
 
-Common-conductor lifting for mixed arithmetic uses the lcm of the two
-conductors, never a fixed global conductor.
+Reduction modulo Phi_n, lifts, descent rows and coordinates are all
+sums of rows of one cached table per conductor n, the powers zeta_n^i
+for 0 <= i < n.  Mixed arithmetic lifts to the lcm of the two
+conductors, never to a fixed global conductor.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "zeta",
     "from_rational",
     "rational_coordinates",
+    "integer_coordinates",
     "euler_phi",
     "prime_divisors",
     "cyclotomic_polynomial",
@@ -85,39 +88,50 @@ def _poly_div_exact(num, den):
     return out
 
 
+@lru_cache(maxsize=None)
+def _powers(n: int):
+    """Power-basis rows of zeta_n^i, 0 <= i < n, as the (index, integer)
+    pairs of their nonzero entries: each row is the previous one times
+    zeta, with zeta^phi(n) rewritten through Phi_n."""
+    poly = cyclotomic_polynomial(n)
+    row = [1] + [0] * (euler_phi(n) - 1)
+    rows = []
+    for _ in range(n):
+        rows.append(tuple((k, x) for k, x in enumerate(row) if x))
+        top, row = row[-1], [0] + row[:-1]
+        row = [x - top * c for x, c in zip(row, poly)]
+    return tuple(rows)
+
+
+def _over(coeffs, n, m):
+    """sum_i coeffs[i] * zeta_m^i over the power basis of zeta_n, m | n: a
+    sum of _powers(n) rows in the coefficients' own type, so integers stay
+    integers.  Exponents wrap at n, as zeta_n^n = 1."""
+    out, rows, step = [0] * euler_phi(n), _powers(n), n // m
+    for i, c in enumerate(coeffs):
+        if c:
+            for k, x in rows[step * i % n]:
+                out[k] += c * x
+    return out
+
+
 def _reduce_mod_phi(coeffs, n):
     """Reduce a coefficient list (exponents of zeta_n) modulo Phi_n."""
-    phi = euler_phi(n)
-    poly = list(cyclotomic_polynomial(n))
-    coeffs = list(coeffs)
-    if len(coeffs) < phi:
-        coeffs += [Fraction(0)] * (phi - len(coeffs))
-    for i in range(len(coeffs) - 1, phi - 1, -1):
-        c = coeffs[i]
-        if c:
-            for j in range(len(poly) - 1):
-                coeffs[i - len(poly) + 1 + j] -= c * poly[j]
-        coeffs.pop()
-    return coeffs
+    return _over(coeffs, n, n)
 
 
 @lru_cache(maxsize=None)
 def _descent_matrix(n: int, m: int):
     """Integer rows: power-basis coordinates over zeta_n of zeta_m^i, i < phi(m)."""
-    step = n // m
-    rows = []
-    for i in range(euler_phi(m)):
-        coeffs = [0] * (step * i + 1)
-        coeffs[step * i] = 1
-        rows.append([int(x) for x in _reduce_mod_phi(coeffs, n)])
-    return rows
+    return [_over([0] * i + [1], n, m) for i in range(euler_phi(m))]
 
 
 class Cyclotomic:
     """An element of some Q(zeta_n), canonically reduced.
 
-    Do not call the constructor with unreduced data; use zeta(),
-    from_rational() or the arithmetic operators.
+    The constructor reduces a coefficient list over the powers of zeta_n,
+    of any length, modulo Phi_n and to the minimal conductor; with
+    _reduced=True it stores already canonical data as given.
     """
 
     __slots__ = ("n", "coeffs")
@@ -152,13 +166,7 @@ class Cyclotomic:
         """Coefficient list of self over the power basis of zeta_n."""
         if n % self.n:
             raise CertificateError(f"zeta_{self.n} does not lie in Q(zeta_{n})")
-        if n == self.n:
-            return list(self.coeffs)
-        step = n // self.n
-        coeffs = [Fraction(0)] * (step * (len(self.coeffs) - 1) + 1)
-        for i, c in enumerate(self.coeffs):
-            coeffs[step * i] = c
-        return _reduce_mod_phi(coeffs, n)
+        return _over(self.coeffs, n, self.n)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -266,10 +274,7 @@ def zeta(n, k=1):
     """The root of unity e^(2 pi i k / n), canonically reduced."""
     if n < 1:
         raise ValueError("conductor must be positive")
-    k %= n
-    coeffs = [Fraction(0)] * (k + 1)
-    coeffs[k] = Fraction(1)
-    return Cyclotomic(n, coeffs)
+    return Cyclotomic(n, [0] * (k % n) + [1])
 
 
 def from_rational(x):
@@ -281,6 +286,11 @@ def rational_coordinates(a, n):
     conductor of `a` must divide n."""
     if n % a.n != 0:
         raise ValueError(f"conductor {a.n} does not divide {n}")
-    coeffs = a._lift(n)
-    phi = euler_phi(n)
-    return list(coeffs) + [Fraction(0)] * (phi - len(coeffs))
+    return a._lift(n)
+
+
+def integer_coordinates(value, n):
+    """Integer coordinates of `value` over the power basis of Z[zeta_n]."""
+    if n % value.n or any(c.denominator != 1 for c in value.coeffs):
+        raise CertificateError(f"character value {value} is not in Z[zeta_{n}]")
+    return _over([c.numerator for c in value.coeffs], n, value.n)

@@ -33,9 +33,8 @@ from .chartab import CharacterTable
 from .fusion import FusionPattern
 from .intlin import (
     adjugate,
-    hermite_normal_form,
+    hermite_normal_form,  # noqa: F401  (traced by perfbench/bench_trace.py)
     integer_kernel,
-    nonzero_rows,
     rank,
 )
 from .intlin import solve_integer  # noqa: F401  (traced by perfbench/bench_trace.py)
@@ -87,7 +86,10 @@ def extreme_rays(constraints, d):
     """Extreme rays of the pointed cone {x in R^d : x . c >= 0 for all c}.
 
     Incremental double description with the combinatorial adjacency
-    test.  The constraint list must have rank d (pointedness).
+    test.  The constraint list must have rank d (pointedness).  Each ray
+    carries the processed constraints it is tight on: a new ray, a
+    positive combination of rp and rm, is tight on their common ones and
+    on the round's constraint only, as elsewhere one of them is > 0.
     """
     init = []
     for j, c in enumerate(constraints):
@@ -101,38 +103,30 @@ def extreme_rays(constraints, d):
     det, adj = adjugate(A)
     # adj * A = det * I: row i of sign(det) * adj meets constraint i
     # positively and lies on the other d - 1 facets
-    rays = [_primitive(row if det > 0 else [-x for x in row]) for row in adj]
-    processed = list(init)
+    rays = {
+        _primitive(row if det > 0 else [-x for x in row]): frozenset(init[:i] + init[i + 1:])
+        for i, row in enumerate(adj)
+    }  # ray -> the processed constraints it is tight on
     for j, c in enumerate(constraints):
         if j in init:
             continue
         vals = {r: _dot(r, c) for r in rays}
         minus = [r for r in rays if vals[r] < 0]
-        if not minus:
-            processed.append(j)
-            continue
         plus = [r for r in rays if vals[r] > 0]
-        zero = [r for r in rays if vals[r] == 0]
-        active = {
-            r: frozenset(i for i in processed if _dot(r, constraints[i]) == 0)
-            for r in rays
-        }
-        new_rays = []
+        new_rays = {}
         for rp in plus:
             for rm in minus:
-                common = active[rp] & active[rm]
+                common = rays[rp] & rays[rm]
                 if any(
-                    r3 is not rp and r3 is not rm and common <= active[r3]
-                    for r3 in rays
+                    r3 is not rp and r3 is not rm and common <= tight
+                    for r3, tight in rays.items()
                 ):
                     continue
-                w = tuple(
-                    vals[rp] * rm[t] - vals[rm] * rp[t] for t in range(d)
-                )
-                new_rays.append(_primitive(w))
-        rays = plus + zero + sorted(set(new_rays))
-        processed.append(j)
-    rays = sorted(set(map(tuple, rays)))
+                w = tuple(vals[rp] * x - vals[rm] * y for x, y in zip(rm, rp))
+                new_rays[_primitive(w)] = common | {j}
+        rays = {r: tight | {j} if vals[r] == 0 else tight for r, tight in rays.items() if vals[r] >= 0}
+        rays.update(new_rays)
+    rays = sorted(rays)
     for r in rays:
         if any(_dot(r, c) < 0 for c in constraints):
             raise CertificateError(f"ray {r} is infeasible: it violates a constraint")
@@ -184,47 +178,35 @@ def _triangulate_cone(rays, constraints, d):
 def _parallelepiped_points(gens):
     """Nonzero lattice points of {sum t_i g_i : 0 <= t_i < 1}.
 
-    One point per coset of Z^d modulo the row lattice of `gens`,
-    enumerated through the HNF box and folded into the half-open
-    parallelepiped.
+    One point per coset of Z^d modulo the row lattice of `gens`.  With
+    adj * gens = vol * I, adj carrying the sign of det, the point of the
+    coset of z has t = z * adj / vol, so vol * frac(t) runs over the
+    subgroup of (Z/vol)^d that the rows of adj generate; it is
+    enumerated by closure and must have exactly vol elements.
     """
     d = len(gens)
-    H = nonzero_rows(hermite_normal_form([list(g) for g in gens])[0])
-    if len(H) != d:
-        raise CertificateError(f"simplex generators {gens} are dependent")
-    diag = [H[i][i] for i in range(d)]
-    if all(x == 1 for x in diag):
-        return []
     det, adj = adjugate([list(g) for g in gens])
+    if det == 0:
+        raise CertificateError(f"simplex generators {gens} are dependent")
     vol = abs(det)
     if det < 0:
         adj = [[-x for x in row] for row in adj]
+    cosets = [(0,) * d]
+    seen = set(cosets)
+    for t in cosets:
+        for row in adj:
+            u = tuple((a + b) % vol for a, b in zip(t, row))
+            if u not in seen:
+                seen.add(u)
+                cosets.append(u)
     points = []
-    counters = [0] * d
-    while True:
-        z = counters
-        if any(z):
-            # t = z * gens^-1 = z * adj / vol, adj carrying the sign of det;
-            # t below is vol * frac(t), in [0, vol)^d
-            t = [sum(z[kk] * adj[kk][i] for kk in range(d)) % vol for i in range(d)]
-            pt = []
-            for i in range(d):
-                x, rem = divmod(sum(t[kk] * gens[kk][i] for kk in range(d)), vol)
-                if rem:
-                    raise CertificateError(
-                        f"parallelepiped point {t}/{vol} of {gens} is not integral"
-                    )
-                pt.append(x)
-            pt = tuple(pt)
-            if any(pt):
-                points.append(pt)
-        i = d - 1
-        while i >= 0 and counters[i] == diag[i] - 1:
-            counters[i] = 0
-            i -= 1
-        if i < 0:
-            break
-        counters[i] += 1
+    for t in cosets[1:]:
+        pt = [divmod(sum(x * g[i] for x, g in zip(t, gens)), vol) for i in range(d)]
+        if any(rem for _, rem in pt):
+            raise CertificateError(f"parallelepiped point {t}/{vol} of {gens} is not integral")
+        points.append(tuple(x for x, _ in pt))
+    if len(cosets) != vol:
+        raise CertificateError(f"the adjugate of {gens} gives {len(cosets)} cosets, not {vol}")
     return points
 
 

@@ -180,8 +180,8 @@ def adjugate(A):
         top = M[c]
         p = top[c]
         for i in range(n):
-            if i != c:
-                f = M[i][c]
+            f = M[i][c]
+            if i != c and (f or p != prev):  # else the update leaves the row as it is
                 M[i] = [(p * x - f * y) // prev for x, y in zip(M[i], top)]
         prev = p
     return sign * prev, [[sign * x for x in row[n:]] for row in M]

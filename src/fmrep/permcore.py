@@ -94,16 +94,16 @@ def perm_order(p):
     return lcm(*map(len, cycles(p)))
 
 
-def _p_order(x, prime, limit, ident, point):
+def _p_order(x, prime, limit, ident):
     """Order of x if x is a prime-element of order at most limit (a power
     of prime), else 0; the identity has order 1.
 
-    The cycle of `point` comes first: a length that does not divide
+    The cycle of point 0 comes first: a length that does not divide
     limit rules x out at once.  Then one run of repeated prime-th powers,
     each by prime - 1 applications of one itemgetter, decides.
     """
-    n, j = 1, x[point]
-    while j != point:
+    n, j = 1, x[0]
+    while j:
         j, n = x[j], n + 1
     if limit % n:
         return 0
@@ -523,12 +523,12 @@ def sylow_subgroup(G, p):
     m = max(p, *(gcd(perm_order(g), limit) for g in G.generators))
 
     def keep(x):  # a p-element outside P = <gens> that normalizes P
-        if x in pset or not _p_order(x, p, limit, ident, 0):
+        if x in pset or not _p_order(x, p, limit, ident):
             return False
         return all(conjugate(s, x) in pset for s in gens)
 
     while True:
-        x, work = _lex_first(levels, n, m, lambda x: _p_order(x, p, m, ident, 0) == m, None, work)
+        x, work = _lex_first(levels, n, m, lambda x: _p_order(x, p, m, ident) == m, None, work)
         gens = [x]
         S = group_from_generators(gens, n)
         while S.order < target:
@@ -538,7 +538,7 @@ def sylow_subgroup(G, p):
                 raise CertificateError("Sylow growth stalled; group data inconsistent")
             gens.append(x)
             S = group_from_generators(gens, n)
-        e = max(_p_order(s, p, limit, ident, 0) for s in S.elements())
+        e = max(_p_order(s, p, limit, ident) for s in S.elements())
         if e <= m:
             break
         m = e

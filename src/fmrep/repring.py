@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from operator import mul, sub
 
 from .chartab import CharacterTable
-from .cyclonum import _descent_matrix, euler_phi, signed_sum
+from .cyclonum import integer_coordinates, signed_sum
 from .cyclonum import rational_coordinates  # noqa: F401  (traced by perfbench/bench_trace.py)
 from .fusion import FusionPattern
 from .intlin import (
@@ -76,23 +76,11 @@ def difference_matrix(pattern: FusionPattern, table: CharacterTable):
     for c in sorted({c for pair in pairs for c in pair}):
         for chi in table.chars:
             if id(chi[c]) not in coords:
-                coords[id(chi[c])] = _integer_coordinates(chi[c], e)
+                coords[id(chi[c])] = integer_coordinates(chi[c], e)
         blocks[c] = list(zip(*(coords[id(chi[c])] for chi in table.chars)))
     columns = {tuple(map(sub, a, b)) for c1, c2 in pairs for a, b in zip(blocks[c1], blocks[c2])}
     columns.discard((0,) * table.irr_count)
     return [list(r) for r in zip(*sorted(columns))] or [[] for _ in table.chars]
-
-
-def _integer_coordinates(value, e):
-    """Coordinates over Z[zeta_e], n = value.n: sum_i c_i (zeta_n^i over zeta_e)."""
-    if e % value.n or any(c.denominator != 1 for c in value.coeffs):
-        raise CertificateError(f"character value {value} is not in Z[zeta_{e}]")
-    out = [0] * euler_phi(e)
-    for c, row in zip(value.coeffs, _descent_matrix(e, value.n)):
-        if c:
-            for i, x in enumerate(row):
-                out[i] += c.numerator * x
-    return out
 
 
 def rep_lattice(pattern: FusionPattern, table: CharacterTable) -> RepLattice:

@@ -45,6 +45,14 @@ The descent oracle finds the minimal conductor of a cyclotomic number
 by Gauss-Jordan elimination over Fraction, independently of the
 integer solve in fmrep.cyclonum.
 
+The reduction oracle is the long division by Phi_n that fmrep.cyclonum
+used before it summed rows of its table of powers of zeta_n.
+
+The extreme-ray oracle tries every d - 1 constraints: their generalized
+cross product, with either sign, is an extreme ray when it is nonzero
+and feasible.  It shares no step with the double description in
+fmrep.fimonoid.
+
 The basis criteria of the paper decide from one lattice basis of
 nonnegative representations: private constituents or disjoint supports
 certify factoriality (and the basis is then the atom set), and
@@ -56,6 +64,7 @@ report_from_json_dict are helpers that only the tests need.
 """
 
 import cmath
+import itertools
 from fractions import Fraction
 from math import gcd
 
@@ -63,6 +72,8 @@ import numpy as np
 
 from fmrep.cyclonum import (
     _descent_matrix,
+    cyclotomic_polynomial,
+    euler_phi,
     from_rational,
     prime_divisors,
     rational_coordinates,
@@ -527,6 +538,39 @@ def solve_rational(rows, target):
     if any(t):
         return None
     return sol
+
+
+def polynomial_reduce_mod_phi(coeffs, n):
+    """Remainder of sum_i coeffs[i] x^i by Phi_n, by long division from the
+    top degree down, padded to phi(n) coefficients."""
+    phi = euler_phi(n)
+    poly = list(cyclotomic_polynomial(n))
+    coeffs = list(coeffs)
+    if len(coeffs) < phi:
+        coeffs += [Fraction(0)] * (phi - len(coeffs))
+    for i in range(len(coeffs) - 1, phi - 1, -1):
+        c = coeffs[i]
+        if c:
+            for j in range(len(poly) - 1):
+                coeffs[i - len(poly) + 1 + j] -= c * poly[j]
+        coeffs.pop()
+    return coeffs
+
+
+def brute_force_extreme_rays(constraints, d):
+    """Sorted extreme rays of {x in R^d : x . c >= 0 for all c}: the feasible
+    primitive x whose tight constraints have rank d - 1.  Each such x spans
+    the kernel of some d - 1 constraints, which is their generalized cross
+    product when that is nonzero."""
+    rays = set()
+    for sub in itertools.combinations(constraints, d - 1):
+        x = [(-1) ** i * det([[c[j] for j in range(d) if j != i] for c in sub]) for i in range(d)]
+        g = gcd(*x)
+        for sign in (1, -1) if g else ():
+            r = tuple(sign * v // g for v in x)
+            if all(sum(a * b for a, b in zip(r, c)) >= 0 for c in constraints):
+                rays.add(r)
+    return sorted(rays)
 
 
 def to_complex(a):

@@ -12,9 +12,9 @@ from fmrep.cyclonum import (
     rational_coordinates,
     zeta,
 )
-from fmrep.cyclonum import _reduce_mod_phi
+from fmrep.cyclonum import _powers, _reduce_mod_phi
 
-from .oracles import fraction_descent, galois_trace, to_complex
+from .oracles import fraction_descent, galois_trace, polynomial_reduce_mod_phi, to_complex
 
 
 def from_coordinates(coords, n):
@@ -82,6 +82,31 @@ def test_canonical_form_matches_fraction_descent(n):
         assert m % x.n == 0
         y = Cyclotomic(m, small)
         assert (y.n, y.coeffs) == (x.n, x.coeffs)
+
+
+def test_power_table_rows_evaluate_to_the_powers():
+    """Row i of the table of zeta_n is zeta_n^i over the power basis."""
+    for n in range(1, 61):
+        z = cmath.exp(2j * cmath.pi / n)
+        rows = _powers(n)
+        assert len(rows) == n
+        for i, row in enumerate(rows):
+            assert all(0 <= k < euler_phi(n) for k, _ in row)
+            assert abs(sum(x * z**k for k, x in row) - z**i) < 1e-9
+
+
+def test_reduce_mod_phi_matches_polynomial_division():
+    """Integer and Fraction lists up to length 2n, exponents past n
+    included; integer lists stay integer."""
+    rng = random.Random(3)
+    for n in range(1, 61):
+        for _ in range(8):
+            length = rng.randrange(2 * n + 1)
+            ints = [rng.randrange(-9, 10) for _ in range(length)]
+            fractions = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)) for _ in range(length)]
+            for coeffs in (ints, fractions):
+                assert _reduce_mod_phi(coeffs, n) == polynomial_reduce_mod_phi(coeffs, n)
+            assert all(type(c) is int for c in _reduce_mod_phi(ints, n))
 
 
 def test_gauss_period_float_sanity():

@@ -19,7 +19,7 @@ from fmrep.fimonoid import (
     _triangulate_cone,
 )
 from fmrep.fusion import discrete_pattern, fusion_from_partition
-from fmrep.intlin import det, integer_kernel
+from fmrep.intlin import det, integer_kernel, rank
 from fmrep.permcore import CapExceeded, CertificateError
 from fmrep.repring import RepLattice, rep_lattice
 
@@ -28,6 +28,7 @@ from .oracles import (
     NotALatticeBasis,
     _lattice_points_in_box,
     atoms_bounded_search,
+    brute_force_extreme_rays,
     certify_irreducible,
     check_convex_basis,
     check_disjoint_basis,
@@ -104,6 +105,43 @@ def test_parallelepiped_certificate(monkeypatch):
     monkeypatch.setattr(fmrep.fimonoid, "adjugate", doubled)
     with pytest.raises(CertificateError, match="not integral"):
         _parallelepiped_points([(2, 1), (0, 1)])
+
+
+def test_parallelepiped_coset_count_certificate(monkeypatch):
+    """Adjugate rows that generate too small a subgroup of (Z/vol)^d miss
+    cosets: the count is checked even under python -O."""
+    real = fmrep.fimonoid.adjugate
+
+    def doubled_rows(A):
+        d, adj = real(A)
+        return d, [[2 * x for x in row] for row in adj]
+
+    monkeypatch.setattr(fmrep.fimonoid, "adjugate", doubled_rows)
+    with pytest.raises(CertificateError, match="cosets"):
+        _parallelepiped_points([(2, 1), (0, 1)])
+
+
+def test_extreme_rays_match_brute_force():
+    """Random cones, d <= 4 and up to 8 constraints, with repeated,
+    scaled and redundant (sum of two) constraints mixed in."""
+    rng = random.Random(17)
+    nonempty = 0
+    for _ in range(400):
+        d = rng.randrange(1, 5)
+        constraints = [tuple(rng.randrange(-2, 4) for _ in range(d)) for _ in range(rng.randrange(1, 7))]
+        for _ in range(rng.randrange(3)):
+            a, b = rng.choice(constraints), rng.choice(constraints)
+            extra = rng.choice((a, tuple(2 * x for x in a), tuple(x + y for x, y in zip(a, b))))
+            constraints.insert(rng.randrange(len(constraints) + 1), extra)
+        constraints = constraints[:8]
+        if rank([list(c) for c in constraints]) < d:
+            with pytest.raises(CertificateError, match="not pointed"):
+                extreme_rays(constraints, d)
+            continue
+        rays = extreme_rays(constraints, d)
+        assert rays == brute_force_extreme_rays(constraints, d), constraints
+        nonempty += bool(rays)
+    assert nonempty >= 100
 
 
 def test_ray_feasibility_certificate(monkeypatch):

@@ -57,3 +57,30 @@ def test_readme_cap_table_matches_the_code():
         assert len(names) == len(values) > 0
         for (module, name), value in zip(names, values):
             assert getattr(importlib.import_module(f"fmrep.{module}"), name) == value, (module, name)
+
+
+TRACED = "(traced by perfbench/bench_trace.py)"
+
+
+def test_unused_imports_are_traced_names():
+    """A name a module imports but never uses is there for the tracer,
+    which wraps it by name on that module: its import line carries the
+    mark, and perfbench/bench_trace.py quotes the name."""
+    trace = (Path(fmrep.__file__).parents[2] / "perfbench" / "bench_trace.py").read_text()
+    unmarked, unquoted = [], []
+    for module in MODULES:
+        text = module.read_text()
+        tree = ast.parse(text, str(module))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", "") == "__future__":
+                continue
+            for alias in node.names:
+                where = f"{module.name}:{alias.lineno} {alias.name}"
+                if TRACED in text.splitlines()[alias.lineno - 1]:
+                    if f'"{alias.name}"' not in trace:
+                        unquoted.append(where)
+                elif (alias.asname or alias.name).split(".")[0] not in used:
+                    unmarked.append(where)
+    assert unmarked == []
+    assert unquoted == []
