@@ -35,6 +35,7 @@ from .intlin import (
     adjugate,
     hermite_normal_form,  # noqa: F401  (traced by perfbench/bench_trace.py)
     integer_kernel,
+    pivot_columns,
     rank,
 )
 from .intlin import solve_integer  # noqa: F401  (traced by perfbench/bench_trace.py)
@@ -86,17 +87,13 @@ def extreme_rays(constraints, d):
     """Extreme rays of the pointed cone {x in R^d : x . c >= 0 for all c}.
 
     Incremental double description with the combinatorial adjacency
-    test.  The constraint list must have rank d (pointedness).  Each ray
-    carries the processed constraints it is tight on: a new ray, a
+    test.  The constraint list must have rank d (pointedness); its first
+    d independent constraints cut out the initial simplicial cone.  Each
+    ray carries the processed constraints it is tight on: a new ray, a
     positive combination of rp and rm, is tight on their common ones and
     on the round's constraint only, as elsewhere one of them is > 0.
     """
-    init = []
-    for j, c in enumerate(constraints):
-        if rank([list(constraints[i]) for i in init] + [list(c)]) > len(init):
-            init.append(j)
-            if len(init) == d:
-                break
+    init = pivot_columns([[c[i] for c in constraints] for i in range(d)])
     if len(init) != d:
         raise CertificateError("constraints do not span: cone not pointed")
     A = [[constraints[j][i] for j in init] for i in range(d)]  # columns = chosen constraints
@@ -140,15 +137,16 @@ def _dot(x, y):
 def _triangulate_cone(rays, constraints, d):
     """Pulling triangulation; returns simplices as tuples of ray indices.
 
-    Faces are handled combinatorially: a facet of a face is the tight
-    set of some valid inequality, restricted to the face's rays.
+    Faces are handled combinatorially, as sets of rays.  The facets of a
+    face F are the maximal proper nonempty sets F & tight(c): every face
+    is an intersection of tight sets, a facet G of F is F & tight(c) for
+    any c tight on G but not on all of F, and every other proper face
+    lies inside a facet.
     """
     ray_list = [tuple(r) for r in rays]
+    if rank([list(r) for r in ray_list]) != d:
+        raise CertificateError("cone is not full-dimensional")
     tight = [frozenset(i for i, r in enumerate(ray_list) if _dot(r, c) == 0) for c in constraints]
-
-    @lru_cache(maxsize=None)
-    def face_rank(ray_idx_set):
-        return rank([list(ray_list[i]) for i in sorted(ray_idx_set)])
 
     @lru_cache(maxsize=None)
     def triangulate(face, dim):
@@ -156,23 +154,11 @@ def _triangulate_cone(rays, constraints, d):
         if len(idxs) == dim:
             return (tuple(idxs),)
         v0 = idxs[0]
-        out = []
-        seen = set()
-        for t in tight:
-            sub = face & t
-            if v0 in sub or sub in seen or sub == face or not sub:
-                continue
-            seen.add(sub)
-            if face_rank(sub) != dim - 1:
-                continue
-            for simplex in triangulate(sub, dim - 1):
-                out.append((v0,) + simplex)
-        return tuple(out)
+        proper = [face & t for t in tight if not face <= t]
+        facets = dict.fromkeys(sub for sub in proper if sub and not any(sub < other for other in proper))
+        return tuple((v0,) + simplex for sub in facets if v0 not in sub for simplex in triangulate(sub, dim - 1))
 
-    top = frozenset(range(len(ray_list)))
-    if face_rank(top) != d:
-        raise CertificateError("cone is not full-dimensional")
-    return list(triangulate(top, d))
+    return list(triangulate(frozenset(range(len(ray_list))), d))
 
 
 def _parallelepiped_points(gens):

@@ -1,22 +1,23 @@
-"""Exact integer linear algebra: row Hermite normal form, integer
-kernels and integer solvability, and fraction-free (Bareiss) rank,
-determinant and adjugate.  Every elimination stays in Z; no rational
-arithmetic is needed.
+"""Exact integer linear algebra: one row Hermite normal form (HNF) for
+integer kernels and integer solvability, and one fraction-free
+(Bareiss) Gauss-Jordan loop for pivot columns, rank, determinant and
+adjugate.  Every elimination stays in Z.
 
 Matrices are lists of lists of Python ints (arbitrary precision), never
 mutated by these functions.  Lattices are always handed around as
 canonical HNF bases so that lattice equality is matrix equality.
 
-HNF convention (row-style): U * A = H with U unimodular; pivots are
-positive, entries above a pivot are reduced into [0, pivot), zero rows
-sit at the bottom.
+HNF convention (row-style): pivots are positive, entries above a pivot
+are reduced into [0, pivot), zero rows sit at the bottom.  The HNF
+carries no transform; the kernel and the solver read the HNF of
+[A | I], whose right block does that work.
 """
 
 from __future__ import annotations
 
 
 def hermite_normal_form(A):
-    """Return (H, U) with U unimodular and U*A = H in canonical row HNF.
+    """The canonical row HNF of A, with as many rows as A.
 
     Pivot selection inside a column picks the entry of least absolute
     value, which keeps intermediate growth moderate.
@@ -24,7 +25,6 @@ def hermite_normal_form(A):
     m = len(A)
     n = len(A[0]) if m else 0
     H = [list(row) for row in A]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     r = 0
     for c in range(n):
         while True:
@@ -34,7 +34,6 @@ def hermite_normal_form(A):
             piv = min(rows, key=lambda i: (abs(H[i][c]), i))
             if piv != r:
                 H[r], H[piv] = H[piv], H[r]
-                U[r], U[piv] = U[piv], U[r]
             if len(rows) == 1:
                 break
             for i in range(r + 1, m):
@@ -42,20 +41,17 @@ def hermite_normal_form(A):
                     q = H[i][c] // H[r][c]
                     if q:
                         _row_sub(H[i], H[r], q)
-                        _row_sub(U[i], U[r], q)
         if H[r][c] if r < m else 0:
             if H[r][c] < 0:
                 H[r] = [-x for x in H[r]]
-                U[r] = [-x for x in U[r]]
             for i in range(r):
                 q = H[i][c] // H[r][c]
                 if q:
                     _row_sub(H[i], H[r], q)
-                    _row_sub(U[i], U[r], q)
             r += 1
             if r == m:
                 break
-    return H, U
+    return H
 
 
 def _row_sub(row, other, q):
@@ -63,22 +59,17 @@ def _row_sub(row, other, q):
         row[j] -= q * other[j]
 
 
-def nonzero_rows(H):
-    return [row for row in H if any(row)]
+def _with_identity(A):
+    """[A | I]: row operations on it keep u * A = h in each row (h | u)."""
+    return [list(row) + [int(i == j) for j in range(len(A))] for i, row in enumerate(A)]
 
 
 def integer_kernel(A):
-    """Canonical HNF basis of the left kernel {x in Z^m : x*A = 0}.
-
-    The basis spans the full (saturated) kernel lattice: any integer
-    vector annihilating A is an integer combination of the rows.
-    """
-    H, U = hermite_normal_form(A)
-    rows = [U[i] for i in range(len(H)) if not any(H[i])]
-    if not rows:
-        return []
-    K, _ = hermite_normal_form(rows)
-    return nonzero_rows(K)
+    """Canonical HNF basis of the left kernel {x in Z^m : x*A = 0}, which
+    it spans over Z: the right blocks of the rows of the HNF of [A | I]
+    whose A-part is zero."""
+    n = len(A[0]) if A else 0
+    return [row[n:] for row in hermite_normal_form(_with_identity(A)) if not any(row[:n])]
 
 
 def solve_integer(A, b):
@@ -87,27 +78,19 @@ def solve_integer(A, b):
     n = len(A[0]) if m else 0
     if len(b) != n:
         raise ValueError("dimension mismatch")
-    H, U = hermite_normal_form(A)
     residual = list(b)
-    coeff = [0] * m
-    for i in range(m):
-        piv = next((c for c in range(n) if H[i][c]), None)
+    x = [0] * m
+    for row in hermite_normal_form(_with_identity(A)):
+        piv = next((c for c in range(n) if row[c]), None)
         if piv is None:
             break
-        q, rem = divmod(residual[piv], H[i][piv])
+        q, rem = divmod(residual[piv], row[piv])
         if rem:
             return None
         if q:
-            coeff[i] = q
-            _row_sub(residual, H[i], q)
-    if any(residual):
-        return None
-    x = [0] * m
-    for i, q in enumerate(coeff):
-        if q:
-            for j in range(m):
-                x[j] += q * U[i][j]
-    return x
+            _row_sub(residual, row, q)
+            x = [a + q * u for a, u in zip(x, row[n:])]
+    return None if any(residual) else x
 
 
 def lattice_contains(basis_rows, v):
@@ -117,19 +100,20 @@ def lattice_contains(basis_rows, v):
     return solve_integer(basis_rows, v) is not None
 
 
-def _echelon(A):
-    """Fraction-free (Bareiss) row echelon of A.
+def _bareiss(M):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of M, in place.
 
-    Returns (rank, sign, pivot): the sign of the row permutation used
-    and the last pivot, which is the determinant of the row-permuted
-    leading rank x rank minor on the pivot columns.  Every division is
-    exact by Sylvester's identity (Bareiss, Math. Comp. 22, 1968).
+    Returns (pivots, sign, pivot): the pivot columns, the sign of the
+    row permutation used and the last pivot, which is the determinant
+    of the row-permuted leading rank x rank minor on the pivot columns.
+    Every division is exact by Sylvester's identity (Bareiss, Math.
+    Comp. 22, 1968).
     """
-    M = [list(row) for row in A]
     m = len(M)
     n = len(M[0]) if m else 0
-    r, sign, prev = 0, 1, 1
+    pivots, sign, prev = [], 1, 1
     for c in range(n):
+        r = len(pivots)
         piv = next((i for i in range(r, m) if M[i][c]), None)
         if piv is None:
             continue
@@ -138,26 +122,32 @@ def _echelon(A):
             sign = -sign
         top = M[r]
         p = top[c]
-        for i in range(r + 1, m):
+        for i in range(m):
             f = M[i][c]
-            M[i] = [(p * x - f * y) // prev for x, y in zip(M[i], top)]
+            if i != r and (f or p != prev):  # else the update leaves the row as it is
+                M[i] = [(p * x - f * y) // prev for x, y in zip(M[i], top)]
+        pivots.append(c)
         prev = p
-        r += 1
-        if r == m:
+        if r + 1 == m:
             break
-    return r, sign, prev
+    return pivots, sign, prev
+
+
+def pivot_columns(A):
+    """The first independent columns of A, in order: each is the first
+    column outside the span of the ones before it."""
+    return _bareiss([list(row) for row in A])[0]
 
 
 def rank(A):
     """Rank over Q, computed exactly."""
-    return _echelon(A)[0]
+    return len(pivot_columns(A))
 
 
 def det(A):
     """Determinant of a square integer matrix."""
-    n = len(A)
-    r, sign, pivot = _echelon(A)
-    return sign * pivot if r == n else 0
+    pivots, sign, pivot = _bareiss([list(row) for row in A])
+    return sign * pivot if len(pivots) == len(A) else 0
 
 
 def adjugate(A):
@@ -168,20 +158,8 @@ def adjugate(A):
     is the adjugate.  A singular A gives d = 0 and the zero matrix.
     """
     n = len(A)
-    M = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
-    sign, prev = 1, 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if M[i][c]), None)
-        if piv is None:
-            return 0, [[0] * n for _ in range(n)]
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            sign = -sign
-        top = M[c]
-        p = top[c]
-        for i in range(n):
-            f = M[i][c]
-            if i != c and (f or p != prev):  # else the update leaves the row as it is
-                M[i] = [(p * x - f * y) // prev for x, y in zip(M[i], top)]
-        prev = p
-    return sign * prev, [[sign * x for x in row[n:]] for row in M]
+    M = _with_identity(A)
+    pivots, sign, pivot = _bareiss(M)
+    if pivots != list(range(n)):
+        return 0, [[0] * n for _ in range(n)]
+    return sign * pivot, [[sign * x for x in row[n:]] for row in M]

@@ -51,7 +51,16 @@ used before it summed rows of its table of powers of zeta_n.
 The extreme-ray oracle tries every d - 1 constraints: their generalized
 cross product, with either sign, is an extreme ray when it is nonzero
 and feasible.  It shares no step with the double description in
-fmrep.fimonoid.
+fmrep.fimonoid.  The triangulation oracle is the pulling triangulation
+fmrep.fimonoid used before it found facets by inclusion: a facet of a
+face is a tight set of the face's rank minus one, ranks by the forward
+elimination below.
+
+The integer linear-algebra oracles are the eliminations fmrep.intlin
+used before it kept one HNF and one Gauss-Jordan loop: the HNF that
+carries its transform U, the kernel read from U and put into HNF a
+second time, and the forward Bareiss elimination that gave rank and
+determinant.
 
 The basis criteria of the paper decide from one lattice basis of
 nonnegative representations: private constituents or disjoint supports
@@ -79,7 +88,7 @@ from fmrep.cyclonum import (
     rational_coordinates,
     zeta,
 )
-from fmrep.intlin import det, hermite_normal_form, nonzero_rows, solve_integer
+from fmrep.intlin import det, hermite_normal_form, solve_integer
 from fmrep.permcore import (
     CertificateError,
     _left,
@@ -573,6 +582,112 @@ def brute_force_extreme_rays(constraints, d):
     return sorted(rays)
 
 
+def rank_pulling_triangulation(rays, constraints, d):
+    """Pulling triangulation, simplices as tuples of ray indices: a facet
+    of a face is a tight set restricted to the face whose rank is one
+    less than the face's."""
+    ray_list = [tuple(r) for r in rays]
+    tight = [frozenset(i for i, r in enumerate(ray_list) if sum(a * b for a, b in zip(r, c)) == 0)
+             for c in constraints]
+
+    def face_rank(face):
+        return echelon([list(ray_list[i]) for i in sorted(face)])[0]
+
+    def triangulate(face, dim):
+        idxs = sorted(face)
+        if len(idxs) == dim:
+            return [tuple(idxs)]
+        v0 = idxs[0]
+        out, seen = [], set()
+        for t in tight:
+            sub = face & t
+            if v0 in sub or sub in seen or sub == face or not sub:
+                continue
+            seen.add(sub)
+            if face_rank(sub) == dim - 1:
+                out += [(v0,) + simplex for simplex in triangulate(sub, dim - 1)]
+        return out
+
+    top = frozenset(range(len(ray_list)))
+    if face_rank(top) != d:
+        raise CertificateError("cone is not full-dimensional")
+    return triangulate(top, d)
+
+
+def transform_hermite_normal_form(A):
+    """(H, U) with U unimodular and U*A = H in canonical row HNF, the
+    pivot in each column of least absolute value."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    H = [list(row) for row in A]
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+
+    def sub(i, r, q):
+        H[i] = [x - q * y for x, y in zip(H[i], H[r])]
+        U[i] = [x - q * y for x, y in zip(U[i], U[r])]
+
+    r = 0
+    for c in range(n):
+        while True:
+            rows = [i for i in range(r, m) if H[i][c]]
+            if not rows:
+                break
+            piv = min(rows, key=lambda i: (abs(H[i][c]), i))
+            H[r], H[piv], U[r], U[piv] = H[piv], H[r], U[piv], U[r]
+            if len(rows) == 1:
+                break
+            for i in range(r + 1, m):
+                if H[i][c]:
+                    sub(i, r, H[i][c] // H[r][c])
+        if r < m and H[r][c]:
+            if H[r][c] < 0:
+                H[r], U[r] = [-x for x in H[r]], [-x for x in U[r]]
+            for i in range(r):
+                sub(i, r, H[i][c] // H[r][c])
+            r += 1
+            if r == m:
+                break
+    return H, U
+
+
+def two_hnf_kernel(A):
+    """Canonical HNF basis of the left integer kernel of A: the transform
+    rows of the zero rows of H, put into HNF a second time."""
+    H, U = transform_hermite_normal_form(A)
+    rows = [U[i] for i in range(len(H)) if not any(H[i])]
+    if not rows:
+        return []
+    return [r for r in transform_hermite_normal_form(rows)[0] if any(r)]
+
+
+def echelon(A):
+    """Forward fraction-free (Bareiss) row echelon of A: (rank, sign, last
+    pivot), the sign that of the row permutation and the last pivot the
+    determinant of the row-permuted leading rank x rank minor on the
+    pivot columns."""
+    M = [list(row) for row in A]
+    m = len(M)
+    n = len(M[0]) if m else 0
+    r, sign, prev = 0, 1, 1
+    for c in range(n):
+        piv = next((i for i in range(r, m) if M[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            M[r], M[piv] = M[piv], M[r]
+            sign = -sign
+        top = M[r]
+        p = top[c]
+        for i in range(r + 1, m):
+            f = M[i][c]
+            M[i] = [(p * x - f * y) // prev for x, y in zip(M[i], top)]
+        prev = p
+        r += 1
+        if r == m:
+            break
+    return r, sign, prev
+
+
 def to_complex(a):
     """Float evaluation of a Cyclotomic; a sanity check only."""
     z = cmath.exp(2j * cmath.pi / a.n)
@@ -603,8 +718,8 @@ def report_from_json_dict(data):
 
 def lattices_equal(rows_a, rows_b):
     """Whether two row sets span the same integer lattice."""
-    Ha = nonzero_rows(hermite_normal_form(rows_a)[0]) if rows_a else []
-    Hb = nonzero_rows(hermite_normal_form(rows_b)[0]) if rows_b else []
+    Ha = [r for r in hermite_normal_form(rows_a) if any(r)] if rows_a else []
+    Hb = [r for r in hermite_normal_form(rows_b) if any(r)] if rows_b else []
     return Ha == Hb
 
 

@@ -33,6 +33,7 @@ from .oracles import (
     check_convex_basis,
     check_disjoint_basis,
     check_private_irreducible_basis,
+    rank_pulling_triangulation,
     solve_rational,
 )
 
@@ -144,6 +145,38 @@ def test_extreme_rays_match_brute_force():
     assert nonempty >= 100
 
 
+def _random_cones(seed, count, max_d, max_constraints):
+    """Random constraint lists with repeated, scaled and redundant (sum
+    of two) constraints mixed in; seed 17, 400 draws, d <= 4 and up to 8
+    constraints repeat the draw of test_extreme_rays_match_brute_force."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = rng.randrange(1, max_d + 1)
+        constraints = [tuple(rng.randrange(-2, 4) for _ in range(d)) for _ in range(rng.randrange(1, max_constraints - 1))]
+        for _ in range(rng.randrange(3)):
+            a, b = rng.choice(constraints), rng.choice(constraints)
+            extra = rng.choice((a, tuple(2 * x for x in a), tuple(x + y for x, y in zip(a, b))))
+            constraints.insert(rng.randrange(len(constraints) + 1), extra)
+        yield constraints[:max_constraints], d
+
+
+@pytest.mark.parametrize("seed, count, max_d, max_constraints", [(17, 400, 4, 8), (5, 1000, 5, 11)])
+def test_triangulation_matches_rank_per_face(seed, count, max_d, max_constraints):
+    """On random full-dimensional cones, facets by inclusion give the
+    simplices that facets by rank gave."""
+    cones = 0
+    for constraints, d in _random_cones(seed, count, max_d, max_constraints):
+        if rank([list(c) for c in constraints]) < d:
+            continue
+        rays = extreme_rays(constraints, d)
+        if rank([list(r) for r in rays]) < d:
+            continue
+        expected = sorted(rank_pulling_triangulation(rays, constraints, d))
+        assert sorted(_triangulate_cone(rays, constraints, d)) == expected, constraints
+        cones += 1
+    assert cones >= 100
+
+
 def test_ray_feasibility_certificate(monkeypatch):
     """A determinant of the wrong sign flips the initial rays off the
     constraints that chose them."""
@@ -160,13 +193,15 @@ def test_ray_feasibility_certificate(monkeypatch):
 
 @pytest.mark.parametrize("stage", ["lattice", "rays", "triangulation"])
 def test_pointed_cone_certificates(monkeypatch, stage):
-    """With every rank read one too low, each check that the cone is
-    pointed and full-dimensional fires."""
+    """With every rank read one too low, and the last pivot column
+    dropped, each check that the cone is pointed and full-dimensional
+    fires."""
     lattice = RepLattice(irr_count=2, rank=2, basis=((1, 1), (0, 2)))
     constraints = [(1, 0), (1, 2)]  # the columns of the basis
     rays = extreme_rays(constraints, 2)
-    real = fmrep.fimonoid.rank
-    monkeypatch.setattr(fmrep.fimonoid, "rank", lambda rows: real(rows) - 1)
+    real_rank, real_pivots = fmrep.fimonoid.rank, fmrep.fimonoid.pivot_columns
+    monkeypatch.setattr(fmrep.fimonoid, "rank", lambda rows: real_rank(rows) - 1)
+    monkeypatch.setattr(fmrep.fimonoid, "pivot_columns", lambda rows: real_pivots(rows)[:-1])
     runs = {
         "lattice": lambda: atoms_hilbert(lattice, (1, 1)),
         "rays": lambda: extreme_rays(constraints, 2),

@@ -6,12 +6,12 @@ from fmrep.intlin import (
     hermite_normal_form,
     integer_kernel,
     lattice_contains,
-    nonzero_rows,
+    pivot_columns,
     rank,
     solve_integer,
 )
 
-from .oracles import is_unimodular, lattices_equal
+from .oracles import echelon, is_unimodular, lattices_equal, transform_hermite_normal_form, two_hnf_kernel
 
 
 def mat_mul(A, B):
@@ -38,14 +38,23 @@ def random_unimodular(rng, m):
     return U
 
 
+def hnf_with_transform(A):
+    """(H, U) read off the HNF of [A | I]: H = HNF(A) and U * A = H."""
+    n = len(A[0])
+    HU = hermite_normal_form([list(row) + [int(i == j) for j in range(len(A))] for i, row in enumerate(A)])
+    H = [row[:n] for row in HU]
+    assert H == hermite_normal_form(A)
+    return H, [row[n:] for row in HU]
+
+
 def test_hnf_identity():
-    H, U = hermite_normal_form([[1, 0], [0, 1]])
+    H, U = hnf_with_transform([[1, 0], [0, 1]])
     assert H == [[1, 0], [0, 1]]
     assert U == [[1, 0], [0, 1]]
 
 
 def test_hnf_rank_one_example():
-    H, U = hermite_normal_form([[2, 4], [1, 2]])
+    H, U = hnf_with_transform([[2, 4], [1, 2]])
     assert H == [[1, 2], [0, 0]]
     assert is_unimodular(U)
 
@@ -54,16 +63,16 @@ def test_hnf_canonical_shape():
     rng = random.Random(17)
     for _ in range(150):
         A = random_matrix(rng, rng.randrange(1, 7), rng.randrange(1, 11))
-        H, U = hermite_normal_form(A)
+        H, U = hnf_with_transform(A)
         assert mat_mul(U, A) == H
         assert is_unimodular(U)
         pivots = []
-        for row in nonzero_rows(H):
+        rows = [row for row in H if any(row)]
+        for row in rows:
             c = next(j for j, x in enumerate(row) if x)
             assert row[c] > 0
             pivots.append((c, row[c]))
         assert [c for c, _ in pivots] == sorted(c for c, _ in pivots)
-        rows = nonzero_rows(H)
         for i, (c, p) in enumerate(pivots):
             for above in rows[:i]:
                 assert 0 <= above[c] < p
@@ -136,7 +145,7 @@ def test_solve_unsolvable():
 def test_bigint_stress():
     rng = random.Random(37)
     A = [[rng.randrange(-(10**30), 10**30) for _ in range(4)] for _ in range(4)]
-    H, U = hermite_normal_form(A)
+    H, U = hnf_with_transform(A)
     assert mat_mul(U, A) == H
     assert is_unimodular(U)
     assert abs(det(A)) == abs(
@@ -149,7 +158,7 @@ def test_det_matches_elimination():
     for _ in range(50):
         n = rng.randrange(1, 6)
         A = random_matrix(rng, n, n, span=6)
-        H, U = hermite_normal_form(A)
+        H = hermite_normal_form(A)
         prod = 1
         for i in range(n):
             prod *= H[i][i] if i < len(H) else 0
@@ -198,3 +207,65 @@ def test_adjugate_small_cases():
     assert adjugate([[-3]]) == (-3, [[1]])
     assert adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
     assert adjugate([[1, 2], [2, 4]])[0] == 0
+
+
+def oracle_hnf_basis(A):
+    return [row for row in transform_hermite_normal_form(A)[0] if any(row)]
+
+
+def greedy_pivot_columns(A):
+    """Each column that raises the rank of the columns before it."""
+    cols = []
+    for c in range(len(A[0]) if A else 0):
+        if echelon([[row[j] for j in cols + [c]] for row in A])[0] > len(cols):
+            cols.append(c)
+    return cols
+
+
+def test_against_the_transform_hnf_and_forward_elimination():
+    """2000 seeded random matrices, wide, tall and square, 0-8 rows and
+    1-8 columns, entries up to 10^12; a quarter are products through a
+    narrower middle (rank-deficient), and a third gain a dependent row.  Kernel, HNF, rank, det, adjugate, pivot columns and integer
+    solvability agree with the oracles."""
+    rng = random.Random(53)
+    square = deficient = solvable = 0
+    for _ in range(2000):
+        m, n = rng.randrange(0, 9), rng.randrange(1, 9)
+        span = rng.choice([1, 3, 30, 10**4, 10**12])
+        A = random_matrix(rng, m, n, span=span)
+        if m > 1 and n > 1 and rng.random() < 1 / 4:
+            k = rng.randrange(1, min(m, n))
+            A = mat_mul(random_matrix(rng, m, k, span=3), random_matrix(rng, k, n, span=span))
+        if m and rng.random() < 1 / 3:
+            i, j = rng.randrange(m), rng.randrange(m)
+            A.append([rng.randrange(-3, 4) * x - y for x, y in zip(A[i], A[j])])
+            m += 1
+        r, sign, pivot = echelon(A)
+        deficient += r < min(m, n)
+        assert integer_kernel(A) == two_hnf_kernel(A)
+        H = transform_hermite_normal_form(A)[0]
+        assert hermite_normal_form(A) == H
+        assert rank(A) == r
+        assert pivot_columns(A) == greedy_pivot_columns(A)
+        if m == n:
+            square += 1
+            d = sign * pivot if r == n else 0
+            assert det(A) == d
+            assert adjugate(A)[0] == d
+            adj = adjugate(A)[1]
+            if d:
+                assert mat_mul(adj, A) == identity_times(d, n) == mat_mul(A, adj)
+            else:
+                assert adj == [[0] * n for _ in range(n)]
+        if not m:
+            continue
+        basis = [row for row in H if any(row)]
+        y = [rng.randrange(-5, 6) for _ in range(m)]
+        for b in ([sum(c * row[j] for c, row in zip(y, A)) for j in range(n)],
+                  [rng.randrange(-span, span + 1) for _ in range(n)]):
+            x = solve_integer(A, b)
+            assert (x is not None) == (oracle_hnf_basis(basis + [b]) == basis)
+            if x is not None:
+                solvable += 1
+                assert [sum(c * row[j] for c, row in zip(x, A)) for j in range(n)] == b
+    assert square > 200 and deficient > 300 and solvable > 1000

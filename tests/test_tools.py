@@ -1,8 +1,11 @@
 """The checked-in tools, run as a user runs them."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import fmrep
 
@@ -21,3 +24,23 @@ def test_build_catalog_data_regenerates_the_asset(tmp_path):
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
     asset = Path(fmrep.__file__).parent / "data" / "groups.txt"
     assert out.read_bytes() == asset.read_bytes()
+
+
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("k", [51, 153])
+def test_table_sweep_digests(k):
+    """tools/table_sweep.py's pinned table and lattice digests hold for
+    its k = 51 and k = 153 products."""
+    sweep = _load_tool("table_sweep")
+    [(_, _, factors, table_pin, lattice_pin)] = [p for p in sweep.PRODUCTS if p[1] == k]
+    T = sweep.character_table(sweep.direct_product(factors))
+    assert T.class_count == k
+    assert sweep.rows_digest(T.chars) == table_pin
+    L = sweep.rep_lattice(sweep.fusion_from_partition(sweep.order_partition(T), T), T)
+    assert sweep.rows_digest(L.basis) == lattice_pin
