@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt, lcm
 import operator
 
@@ -54,7 +55,7 @@ class CharacterTable:
     def irr_count(self):
         return len(self.chars)
 
-    @property
+    @cached_property
     def trivial_index(self):
         one = from_rational(1)
         for i, row in enumerate(self.chars):
@@ -205,18 +206,21 @@ def _rref_mod(rows, ell):
 
 
 def _nullspace_mod(M, ell):
-    """Basis of {y : M*y = 0 mod ell} for square M, one vector per free column
-    fc (1 there, 0 at the other free columns), read off the RREF R of M:
-    y[p_i] = -R[i][fc] at the pivot column p_i of row i."""
+    """(basis, free columns): a basis of {y : M*y = 0 mod ell} for square
+    M, one vector per free column fc of the RREF R of M (1 there, 0 at
+    the other free columns), y[p_i] = -R[i][fc] at the pivot column p_i
+    of row i.  The basis is the identity at the free columns, so it
+    needs no echelon form of its own."""
     n = len(M)
     rref, pivots = _rref_mod(M, ell)
+    free = [c for c in range(n) if c not in pivots]
     basis = []
-    for fc in (c for c in range(n) if c not in pivots):
+    for fc in free:
         y = [int(c == fc) for c in range(n)]
         for row, pc in zip(rref, pivots):
             y[pc] = -row[fc] % ell
         basis.append(y)
-    return basis
+    return basis, free
 
 
 def _combination(coeffs, rows, ell):
@@ -270,21 +274,53 @@ def _charpoly_mod(M, ell):
     return p[n]
 
 
-def _split_eigenvectors(class_elements, reps, lookup, ell):
-    """Common eigenvectors (up to scale) of the class matrices over F_ell.
+def _derive(tables, derived, idx, A, ell):
+    """Record class idx, with A = `_class_matrix` of it, as processed, and
+    grow `derived`: classes whose sums lie in the F_ell-algebra that the
+    processed class sums generate.  A holds the structure constants,
+    K_idx * K_j = sum_m n * K_m over the (j, n) pairs of its column m;
+    `tables` keeps each processed A transposed.  If K_i * K_j, i processed
+    and j derived, has exactly one class m outside `derived` with
+    n != 0 mod ell, then K_m = (K_i * K_j - derived terms) / n joins."""
+    table = [[] for _ in A]
+    for m, col in enumerate(A):
+        for j, n in col:
+            table[j].append((m, n))
+    tables.append(table)
+    todo = [(table, j) for j in derived] + [(t, idx) for t in tables]
+    derived.add(idx)
+    while todo:
+        t, j = todo.pop()
+        unknown = [m for m, n in t[j] if n % ell and m not in derived]
+        if len(unknown) == 1:
+            derived.add(unknown[0])
+            todo += [(u, unknown[0]) for u in tables]
 
-    Each eigenspace is kept as RREF rows with their pivot columns.  A
-    class matrix is built only when the split reaches it, and restricted
-    to every eigenspace of dimension > 1.  A scalar restriction keeps the
-    whole eigenspace, in the same RREF rows.  Otherwise the eigenvalues
-    are the roots in F_ell of the restriction's characteristic
-    polynomial, and each root's eigenspace is one nullspace.
+
+def _split_eigenvectors(class_elements, reps, lookup, ell):
+    """Common eigenvectors of the class matrices over F_ell, each scaled
+    to a leading 1.
+
+    Each eigenspace is kept as basis rows that are the identity at its
+    pivot columns.  A class matrix is built only when the split reaches
+    it, and restricted to every eigenspace of dimension > 1.  A class
+    that `_derive` puts in the algebra generated by the class sums
+    already processed is skipped unbuilt: it is a polynomial in matrices
+    certified to preserve every eigenspace, each acting on each as a
+    scalar, so it could split nothing.  A scalar restriction keeps the
+    whole eigenspace, in the same rows.  Otherwise the eigenvalues are
+    the roots in F_ell of the restriction's characteristic polynomial,
+    and each root's eigenspace is one nullspace; its basis is the
+    identity at the pivots of the nullspace's free columns.
     """
     k = len(reps)
-    spaces = [_rref_mod([[int(i == j) for j in range(k)] for i in range(k)], ell)]
+    spaces = [([[int(i == j) for j in range(k)] for i in range(k)], list(range(k)))]
+    tables, derived = [], {0}
     for idx in range(1, k):
         if all(len(rows) == 1 for rows, _ in spaces):
             break
+        if idx in derived:
+            continue
         A = _class_matrix(class_elements[idx], reps, lookup)
         new_spaces = []
         for rows, pivots in spaces:
@@ -316,13 +352,18 @@ def _split_eigenvectors(class_elements, reps, lookup, ell):
             for lam in (lam for lam, v in enumerate(values) if not v):
                 shifted = [row[:t] + [(row[t] - lam) % ell] + row[t + 1:]
                            for t, row in enumerate(Xt)]
-                ys = _nullspace_mod(shifted, ell)
+                ys, free = _nullspace_mod(shifted, ell)
                 if not ys:
                     raise CertificateError(f"root {lam} of a restriction has no eigenvector")
                 # a k-dim eigenspace is all of F_ell^k, with the identity as its basis
                 basis = ys if dim == k else [_combination(y, rows, ell) for y in ys]
-                new_spaces.append(_rref_mod(basis, ell))
+                new_spaces.append((basis, [pivots[f] for f in free]))
         spaces = new_spaces
+        _derive(tables, derived, idx, A, ell)
     if any(len(rows) != 1 for rows, _ in spaces):
         raise CertificateError("class matrices do not split F_ell^k into lines")
-    return sorted(rows[0] for rows, _ in spaces)
+    lines = []
+    for [v], _ in spaces:
+        inv = pow(next(x for x in v if x), ell - 2, ell)
+        lines.append([x * inv % ell for x in v])
+    return sorted(lines)

@@ -78,26 +78,35 @@ def solve_integer(A, b):
     n = len(A[0]) if m else 0
     if len(b) != n:
         raise ValueError("dimension mismatch")
-    residual = list(b)
-    x = [0] * m
-    for row in hermite_normal_form(_with_identity(A)):
+    # reducing (b | 0) by the rows (h | u) of the HNF of [A | I] leaves (b - x*A | -x)
+    residual = list(b) + [0] * m
+    if not _reduce(hermite_normal_form(_with_identity(A)), residual, n) or any(residual[:n]):
+        return None
+    return [-y for y in residual[n:]]
+
+
+def lattice_contains(hnf_rows, v):
+    """Whether v lies in the integer row span of hnf_rows, a row echelon
+    basis such as `hermite_normal_form` returns."""
+    residual = list(v)
+    return _reduce(hnf_rows, residual, len(residual)) and not any(residual)
+
+
+def _reduce(rows, residual, n):
+    """Subtract from `residual`, in place, the multiple of each echelon row
+    that clears it at the row's pivot, its first nonzero among the first
+    n columns; stop at a row with none.  False when a pivot does not
+    divide the residual there, so it is outside the rows' span."""
+    for row in rows:
         piv = next((c for c in range(n) if row[c]), None)
         if piv is None:
             break
         q, rem = divmod(residual[piv], row[piv])
         if rem:
-            return None
+            return False
         if q:
             _row_sub(residual, row, q)
-            x = [a + q * u for a, u in zip(x, row[n:])]
-    return None if any(residual) else x
-
-
-def lattice_contains(basis_rows, v):
-    """Whether v lies in the integer row span of basis_rows."""
-    if not basis_rows:
-        return not any(v)
-    return solve_integer(basis_rows, v) is not None
+    return True
 
 
 def _bareiss(M):

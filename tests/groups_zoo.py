@@ -167,11 +167,12 @@ def all_groups_up_to_16():
 
 def sylow_products():
     """(name, PermGroup) pairs: products of small Sylow subgroups with
-    k = 20, 51 and 40 classes."""
+    k = 20, 51, 40 and 100 classes."""
     return [
         ("D8xC2xC2", _perm_group("(1,2)", "(1,3)(2,4)", "(5,6)", "(7,8)", 8)),
         ("C3wrC3xC3", _perm_group("(1,2,3)", "(1,4,7)(2,5,8)(3,6,9)", "(10,11,12)", 12)),
         ("C2wrC2wrC2xC2", _perm_group("(1,2)", "(1,3)(2,4)", "(1,5)(2,6)(3,7)(4,8)", "(9,10)", 10)),
+        ("D8xC2xD8xC2", _perm_group("(1,2)", "(1,3)(2,4)", "(5,6)", "(7,8)", "(7,9)(8,10)", "(11,12)", 12)),
     ]
 
 

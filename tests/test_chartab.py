@@ -391,12 +391,62 @@ def test_nullspace_basis(ell):
             L = [[rnd.randrange(ell) for _ in range(rank)] for _ in range(n)]
             R = [[rnd.randrange(ell) for _ in range(n)] for _ in range(rank)]
             M = _matmul(L, R, ell) if rank else [[0] * n for _ in range(n)]
-            basis = chartab._nullspace_mod(M, ell)
+            basis, free = chartab._nullspace_mod(M, ell)
             assert len(basis) == n - len(chartab._rref_mod(M, ell)[0])
             for y in basis:
                 assert all(sum(a * b for a, b in zip(row, y)) % ell == 0 for row in M)
             if basis:
                 assert len(chartab._rref_mod(basis, ell)[0]) == len(basis)
+            # the basis is the identity at the free columns
+            assert [[y[f] for f in free] for y in basis] == [
+                [int(s == t) for s in range(len(free))] for t in range(len(free))]
+
+
+# -- class-algebra closure ----------------------------------------------------
+
+
+def _closure(derived, products, k, ell):
+    """`derived` after processing each (idx, {j: {m: n}}) of `products`,
+    where K_idx * K_j = sum_m n * K_m, as a column-form class matrix."""
+    derived, tables = set(derived), []
+    for idx, rows in products:
+        A = [[] for _ in range(k)]
+        for j, row in rows.items():
+            for m, n in row.items():
+                A[m].append((j, n))
+        chartab._derive(tables, derived, idx, A, ell)
+    return derived
+
+
+def test_closure_derives_the_one_unknown_class():
+    # K_1 * K_1 = 2 K_0 + 3 K_2: K_2 is a polynomial in K_1 mod 5
+    assert _closure({0}, [(1, {0: {1: 1}, 1: {0: 2, 2: 3}})], 3, 5) == {0, 1, 2}
+
+
+def test_closure_skips_a_coefficient_divisible_by_ell():
+    # K_1 * K_1 = 2 K_0 + 5 K_2: mod 5 the product says nothing of K_2
+    assert _closure({0}, [(1, {0: {1: 1}, 1: {0: 2, 2: 5}})], 3, 5) == {0, 1}
+
+
+def test_closure_derives_neither_of_two_unknown_classes():
+    assert _closure({0}, [(1, {0: {1: 1}, 1: {2: 1, 3: 1}})], 4, 5) == {0, 1}
+
+
+def test_closure_through_a_derived_class():
+    # K_1^2 = K_2, then K_1 * K_2 = K_0 + K_3 with K_2 derived
+    products = [(1, {0: {1: 1}, 1: {2: 1}, 2: {0: 1, 3: 1}})]
+    assert _closure({0}, products, 4, 7) == {0, 1, 2, 3}
+
+
+def test_closure_skips_most_class_matrices_of_a_product(monkeypatch):
+    """On D8 x C2 x D8 x C2 (k = 100) the split builds at most 10 class
+    matrices; without the closure it built 40."""
+    [G] = [G for name, G in sylow_products() if name == "D8xC2xD8xC2"]
+    calls = []
+    real = chartab._class_matrix
+    monkeypatch.setattr(chartab, "_class_matrix", lambda *a: calls.append(a) or real(*a))
+    assert character_table(G).class_count == 100
+    assert len(calls) <= 10
 
 
 # -- class count cap ----------------------------------------------------------

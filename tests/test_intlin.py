@@ -134,12 +134,28 @@ def test_solve_random_consistency():
         x = solve_integer(A, b)
         assert x is not None
         assert [sum(x[k] * A[k][j] for k in range(m)) for j in range(n)] == b
-        assert lattice_contains(A, b)
+        assert lattice_contains(hermite_normal_form(A), b)
 
 
 def test_solve_unsolvable():
     assert solve_integer([[2, 0], [0, 2]], [1, 1]) is None
     assert not lattice_contains([[2, 0], [0, 2]], [1, 1])
+
+
+def test_lattice_contains_matches_solve_integer_on_hnf_bases():
+    """Membership read off an HNF basis equals the solvability of x*H = v,
+    for lattice vectors, their perturbations and random vectors."""
+    rng = random.Random(97)
+    for _ in range(400):
+        m, n = rng.randrange(1, 6), rng.randrange(1, 7)
+        H = hermite_normal_form(random_matrix(rng, m, n, span=rng.choice([1, 4, 30])))
+        y = [rng.randrange(-3, 4) for _ in range(m)]
+        in_span = [sum(y[k] * H[k][j] for k in range(m)) for j in range(n)]
+        near = [x + (j == rng.randrange(n)) for j, x in enumerate(in_span)]
+        for v in (in_span, near, [rng.randrange(-20, 21) for _ in range(n)]):
+            assert lattice_contains(H, v) == (solve_integer(H, v) is not None)
+        assert lattice_contains(H, in_span)
+    assert lattice_contains([], [0, 0]) and not lattice_contains([], [0, 1])
 
 
 def test_bigint_stress():
