@@ -58,14 +58,9 @@ class FactorizationWitness:
     decomp_a: tuple
     decomp_b: tuple
 
-    @property
-    def lengths(self):
-        return (len(self.decomp_a), len(self.decomp_b))
-
 
 @dataclass(frozen=True)
 class MonoidAnalysis:
-    lattice: RepLattice
     atoms: tuple
     factorial: bool
     half_factorial: bool
@@ -205,10 +200,7 @@ def atoms_hilbert(lattice: RepLattice, degrees):
     d, r = lattice.rank, lattice.irr_count
     if d > RANK_CAP or r > IRR_CAP:
         raise CapExceeded(f"rank {d} x irreducibles {r} beyond caps ({RANK_CAP}, {IRR_CAP})")
-    B = [list(row) for row in lattice.basis]
-    if rank(B) != d:
-        raise CertificateError("lattice basis is not full rank; cone not pointed")
-    constraints = [tuple(B[i][j] for i in range(d)) for j in range(r)]
+    constraints = list(zip(*lattice.basis))
     rays = extreme_rays(constraints, d)
     simplices = _triangulate_cone(rays, constraints, d)
     candidates = set(rays)
@@ -309,7 +301,6 @@ def analyze(lattice: RepLattice, table: CharacterTable, pattern: FusionPattern) 
     if fact and not half:
         raise CertificateError("factorial but not half-factorial")
     return MonoidAnalysis(
-        lattice=lattice,
         atoms=tuple(atoms),
         factorial=fact,
         half_factorial=half,

@@ -98,13 +98,15 @@ def fusion_pattern(G: PermGroup, S: PermGroup, table: CharacterTable) -> FusionP
 def fusion_from_partition(partition, table: CharacterTable) -> FusionPattern:
     """Fusion pattern from an explicit grouping of 1-based S-class indices.
 
-    The grouping must cover every class exactly once, keep the identity
-    class alone, never fuse classes of different element orders, and be
-    permuted by the power maps x -> x^t with t prime to the element order.
+    The blocks must be nonempty, cover every class exactly once, keep the
+    identity class alone, never fuse classes of different element orders,
+    and be permuted by the power maps x -> x^t with t prime to the order.
     """
     k = table.class_count
     labels = [0] * k
     for lab, block in enumerate(partition, start=1):
+        if not block:
+            raise InvalidPartition(f"block {lab} is empty")
         for idx in block:
             if not 1 <= idx <= k:
                 raise InvalidPartition(f"class index {idx} out of range 1..{k}")
@@ -117,9 +119,3 @@ def fusion_from_partition(partition, table: CharacterTable) -> FusionPattern:
     labels = _canonical_labels(labels)
     _validate(labels, table)
     return FusionPattern(labels=labels, class_count=max(labels))
-
-
-def discrete_pattern(table: CharacterTable) -> FusionPattern:
-    """Every class its own label (the fusion of S in itself)."""
-    labels = tuple(range(1, table.class_count + 1))
-    return FusionPattern(labels=labels, class_count=table.class_count)

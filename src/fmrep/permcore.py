@@ -349,10 +349,6 @@ def group_from_generators(gens, degree=None):
     return PermGroup(gens, degree)
 
 
-def trivial_group(degree):
-    return PermGroup([], degree)
-
-
 # -- Sylow subgroups ------------------------------------------------------
 
 
@@ -513,7 +509,7 @@ def sylow_subgroup(G, p):
         raise ValueError(f"{p} is not prime")
     target = _p_part(G.order, p)
     if target == 1:
-        return trivial_group(G.degree)
+        return PermGroup([], G.degree)
     limit = p  # a cycle of length p^e needs p^e <= degree
     while limit * p <= G.degree and G.order % (limit * p) == 0:
         limit *= p
@@ -656,55 +652,32 @@ def _conjugator_search(G, x):
     return find
 
 
-def _conjugates_among(G, x, ys):
-    """The members of ys that are conjugate to x in G.
-
-    Candidates of another cycle type drop out first.  Then one backtrack
-    search per candidate y, over one chain built for x
-    (_conjugator_search), finds a g in G with x^g = y or proves there is
-    none; each found g is certified: CertificateError unless g is in G
-    and conjugate(x, g) == y.
-    """
-    ctype = cycle_lengths(x)
-    ys = [y for y in ys if cycle_lengths(y) == ctype]
-    if not ys:
-        return []
-    find = _conjugator_search(G, x)
-    out = []
-    for y in ys:
-        g = find(y)
-        if g is None:
-            continue
-        if g not in G or conjugate(x, g) != y:
-            raise CertificateError(f"fusion: {format_perm(g)} does not conjugate {format_perm(x)} to {format_perm(y)}")
-        out.append(y)
-    return out
-
-
-def is_conjugate(G, x, y):
-    """Whether x and y are conjugate in G (see _conjugates_among)."""
-    x, y = tuple(x), tuple(y)
-    if len(x) != G.degree or len(y) != G.degree:
-        raise ValueError("degree mismatch")
-    return bool(_conjugates_among(G, x, [y]))
-
-
 def fuse_by_conjugacy(G, reps):
     """Partition `reps` by G-conjugacy; returns a list of group labels 0..k-1.
 
-    Each representative not yet labelled decides, in one call of
-    _conjugates_among, which later unlabelled ones share its class.
+    Each representative x not yet labelled opens the next label.  Every
+    later unlabelled representative y of x's cycle type is then decided
+    by one backtrack search over one chain built for x
+    (_conjugator_search, set up at the first such y).  Each g found is
+    certified before y takes x's label: CertificateError unless g is in
+    G and conjugate(x, g) == y.
     """
     labels = [None] * len(reps)
     next_label = 0
     for i, x in enumerate(reps):
         if labels[i] is not None:
             continue
-        rest = [j for j in range(i + 1, len(reps)) if labels[j] is None]
-        matched = set(_conjugates_among(G, x, [reps[j] for j in rest]))
         labels[i] = next_label
-        for j in rest:
-            if reps[j] in matched:
-                labels[j] = next_label
+        ctype, find = cycle_lengths(x), None
+        for j, y in enumerate(reps[i + 1:], i + 1):
+            if labels[j] is not None or cycle_lengths(y) != ctype:
+                continue
+            find = find or _conjugator_search(G, x)
+            g = find(y)
+            if g is None:
+                continue
+            if g not in G or conjugate(x, g) != y:
+                raise CertificateError(f"fusion: {format_perm(g)} does not conjugate {format_perm(x)} to {format_perm(y)}")
+            labels[j] = next_label
         next_label += 1
     return labels

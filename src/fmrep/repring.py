@@ -38,9 +38,6 @@ class RepLattice:
     rank: int
     basis: tuple  # rank x irr_count, canonical HNF rows (virtual reps)
 
-    def contains(self, v):
-        return lattice_contains([list(r) for r in self.basis], list(v))
-
     def to_multiplicities(self, x):
         """Map lattice coordinates x back to a multiplicity vector."""
         v = [0] * self.irr_count

@@ -215,6 +215,19 @@ def test_exit_code_partition_not_power_stable(tmp_path, capsys):
     assert "power map x -> x^2" in err and "block [2, 3]" in err
 
 
+def test_exit_code_partition_empty_block(tmp_path, capsys):
+    group = tmp_path / "c3.txt"
+    group.write_text("(1,2,3)\n")
+    part = tmp_path / "partition.json"
+    part.write_text(json.dumps([[1], [], [2, 3]]))
+    code, out, err = run_cli(
+        capsys, "run", "--group", str(group), "--prime", "3", "--partition", str(part)
+    )
+    assert code == EXIT_INPUT
+    assert "input error: block 2 is empty" in err
+    assert "partition input" not in out
+
+
 def _symmetric_file(tmp_path, n):
     f = tmp_path / f"s{n}.txt"
     f.write_text("(1,2)\n(" + ",".join(map(str, range(1, n + 1))) + ")\n")

@@ -18,7 +18,7 @@ from fmrep.fimonoid import (
     _parallelepiped_points,
     _triangulate_cone,
 )
-from fmrep.fusion import discrete_pattern, fusion_from_partition
+from fmrep.fusion import fusion_from_partition
 from fmrep.intlin import det, integer_kernel, rank
 from fmrep.permcore import CapExceeded, CertificateError
 from fmrep.repring import RepLattice, rep_lattice
@@ -352,7 +352,7 @@ def test_bounded_search_abelian_discrete():
 
     z8 = group_from_generators([parse_perm("(1,2,3,4,5,6,7,8)", 8)])
     T = character_table(z8)
-    F = discrete_pattern(T)
+    F = fusion_from_partition([[i + 1] for i in range(T.class_count)], T)
     L = rep_lattice(F, T)
     found = atoms_bounded_search(L, T)
     assert sorted(found) == sorted(_unit(8, i) for i in range(8))
@@ -402,7 +402,7 @@ def test_factoriality_witness_sigma9(pipelines):
     ok, witness = factoriality(A.atoms, L, _relations(A.atoms))
     assert not ok
     _check_witness(witness, A.atoms)
-    assert witness.lengths == (2, 2)
+    assert (len(witness.decomp_a), len(witness.decomp_b)) == (2, 2)
 
 
 def test_half_factoriality_witness_sigma6(pipelines):
@@ -410,7 +410,7 @@ def test_half_factoriality_witness_sigma6(pipelines):
     ok, witness = half_factoriality(A.atoms, _relations(A.atoms))
     assert not ok
     _check_witness(witness, A.atoms, expect_unequal=True)
-    assert sorted(witness.lengths) == [2, 3]
+    assert sorted([len(witness.decomp_a), len(witness.decomp_b)]) == [2, 3]
     # the relation matches the documented one: the three atoms of
     # dimensions {4, 4, 6} re-sum to the two of dimensions {7, 7}
     dims = [T.dimension_of(a) for a in A.atoms]
@@ -464,7 +464,7 @@ def test_private_basis_unit_vectors():
 
     z4 = group_from_generators([parse_perm("(1,2,3,4)", 4)])
     T = character_table(z4)
-    L = rep_lattice(discrete_pattern(T), T)
+    L = rep_lattice(fusion_from_partition([[i + 1] for i in range(T.class_count)], T), T)
     units = [_unit(4, i) for i in range(4)]
     assert check_private_irreducible_basis(units, L)
     assert check_disjoint_basis(units, L)

@@ -5,10 +5,10 @@ import pytest
 from fmrep.chartab import character_table
 from fmrep.fusion import (
     InvalidPartition,
-    discrete_pattern,
     fusion_from_partition,
     fusion_pattern,
 )
+from fmrep.intlin import lattice_contains
 from fmrep.permcore import group_from_generators, parse_perm, sylow_subgroup
 
 from .oracles import is_invariant
@@ -36,7 +36,7 @@ def test_fusion_labels_are_canonical(pipelines):
 def test_self_fusion_is_discrete(pipelines):
     _, S, T, _, _, _ = pipelines.run("S6")
     F = fusion_pattern(S, S, T)
-    assert F == discrete_pattern(T)
+    assert F == fusion_from_partition([[i + 1] for i in range(T.class_count)], T)
     assert F.class_count == T.class_count
 
 
@@ -91,6 +91,16 @@ def test_partition_rejects_bad_cover(pipelines):
         fusion_from_partition([[1], [2, 3, 4, 5, 6]], T)
 
 
+def test_partition_rejects_empty_block(pipelines):
+    T = pipelines.run("S4")[2]
+    rest = [[k] for k in range(2, T.class_count + 1)]
+    for at in (0, 1, len(rest) + 1):
+        blocks = [[1]] + rest
+        blocks.insert(at, [])
+        with pytest.raises(InvalidPartition, match=f"^block {at + 1} is empty$"):
+            fusion_from_partition(blocks, T)
+
+
 # -- invariance ----------------------------------------------------------------
 
 
@@ -136,4 +146,4 @@ def test_invariant_iff_in_lattice(pipelines):
     rng = random.Random(4)
     for _ in range(200):
         v = [rng.randrange(0, 4) for _ in range(T.irr_count)]
-        assert is_invariant(v, F, T) == L.contains(v)
+        assert is_invariant(v, F, T) == lattice_contains(L.basis, v)

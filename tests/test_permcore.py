@@ -17,7 +17,6 @@ from fmrep.permcore import (
     CapExceeded,
     CertificateError,
     PermGroup,
-    _conjugates_among,
     _conjugator_search,
     class_partition,
     conjugate,
@@ -27,13 +26,11 @@ from fmrep.permcore import (
     group_from_generators,
     identity,
     inverse,
-    is_conjugate,
     mul,
     parse_perm,
     perm_order,
     power,
     sylow_subgroup,
-    trivial_group,
 )
 
 from .groups_zoo import groups_fixing_first_points
@@ -106,7 +103,7 @@ def test_symmetric_3_order():
 
 def test_empty_generators_trivial_group():
     assert group_from_generators([], degree=4).order == 1
-    assert trivial_group(4).order == 1
+    assert PermGroup([], 4).order == 1
 
 
 def test_m10_order_and_exhaustive_enumeration():
@@ -283,14 +280,20 @@ def test_classes_partition_and_canonical_order():
 # -- conjugacy testing -------------------------------------------------------
 
 
+def _conjugate_in(G, x, y):
+    """Whether fuse_by_conjugacy gives x and y one label."""
+    labels = fuse_by_conjugacy(G, [x, y])
+    return labels[0] == labels[1]
+
+
 def test_conjugate_inverse_pair_in_s3():
     s3 = S(3)
-    assert is_conjugate(s3, parse_perm("(1,2,3)", 3), parse_perm("(1,3,2)", 3))
+    assert _conjugate_in(s3, parse_perm("(1,2,3)", 3), parse_perm("(1,3,2)", 3))
 
 
 def test_different_orders_never_conjugate():
     s4 = S(4)
-    assert not is_conjugate(s4, parse_perm("(1,2)", 4), parse_perm("(1,2,3,4)", 4))
+    assert not _conjugate_in(s4, parse_perm("(1,2)", 4), parse_perm("(1,2,3,4)", 4))
 
 
 def test_d8_fusion_in_sigma4():
@@ -301,7 +304,7 @@ def test_d8_fusion_in_sigma4():
     assert len(set(labels)) == 4
     for i, x in enumerate(reps):
         for j, y in enumerate(reps):
-            assert (labels[i] == labels[j]) == is_conjugate(s4, x, y)
+            assert (labels[i] == labels[j]) == _conjugate_in(s4, x, y)
 
 
 def test_is_conjugate_equivalence_relation():
@@ -309,14 +312,14 @@ def test_is_conjugate_equivalence_relation():
     syl = sylow_subgroup(G, 2)
     reps = [c.representative for c in class_partition(syl)[0]]
     for x in reps:
-        assert is_conjugate(G, x, x)
+        assert _conjugate_in(G, x, x)
         for y in reps:
-            assert is_conjugate(G, x, y) == is_conjugate(G, y, x)
+            assert _conjugate_in(G, x, y) == _conjugate_in(G, y, x)
     for x in reps:
         for y in reps:
             for z in reps:
-                if is_conjugate(G, x, y) and is_conjugate(G, y, z):
-                    assert is_conjugate(G, x, z)
+                if _conjugate_in(G, x, y) and _conjugate_in(G, y, z):
+                    assert _conjugate_in(G, x, z)
 
 
 def _bfs_class_lookup(G):
@@ -351,7 +354,7 @@ def test_symmetric_fast_path_exhaustive(n):
             fast = type_x == cycle_lengths(y)
             assert fast == (rep_x == lookup[y])
             if n <= 5:
-                assert is_conjugate(G, x, y) == fast
+                assert _conjugate_in(G, x, y) == fast
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
@@ -370,16 +373,16 @@ def test_alternating_fast_path_exhaustive(n):
     reps = sorted(set(lookup.values()))
     pairs += [(x, y) for x in reps for y in reps]
     for x, y in pairs:
-        assert is_conjugate(G, x, y) == (lookup[x] == lookup[y])
+        assert _conjugate_in(G, x, y) == (lookup[x] == lookup[y])
 
 
 def test_alternating_split_classes():
     # 5-cycles split into two classes of A5; (1,2,3,4,5) ~ its square only in S5
     G = A(5)
     five = parse_perm("(1,2,3,4,5)", 5)
-    assert is_conjugate(G, five, conjugate(five, parse_perm("(1,2,3)", 5)))
-    assert not is_conjugate(G, five, power(five, 2))
-    assert is_conjugate(S(5), five, power(five, 2))
+    assert _conjugate_in(G, five, conjugate(five, parse_perm("(1,2,3)", 5)))
+    assert not _conjugate_in(G, five, power(five, 2))
+    assert _conjugate_in(S(5), five, power(five, 2))
 
 
 def test_conjugacy_cap_exceeded(monkeypatch):
@@ -390,7 +393,7 @@ def test_conjugacy_cap_exceeded(monkeypatch):
     )
     monkeypatch.setattr(permcore, "CONJUGACY_CAP", 1)
     with pytest.raises(CapExceeded, match="fusion: conjugacy search exceeds cap 1 node-points"):
-        is_conjugate(G, x, y)
+        fuse_by_conjugacy(G, [x, y])
 
 
 @pytest.mark.parametrize("rule_group", [S, A])
@@ -401,9 +404,9 @@ def test_is_conjugate_moves_points_g_fixes(rule_group):
     G = group_from_generators([g + (5,) for g in rule_group(5).generators])
     x, y = parse_perm("(5,6)", 6), parse_perm("(1,2)", 6)
     assert orbit_walk_conjugates(G, x, [y]) == []
-    assert not is_conjugate(G, x, y)
-    assert not is_conjugate(G, y, x)
-    assert is_conjugate(G, x, parse_perm("(1,6)", 6))
+    assert not _conjugate_in(G, x, y)
+    assert not _conjugate_in(G, y, x)
+    assert _conjugate_in(G, x, parse_perm("(1,6)", 6))
     assert fuse_by_conjugacy(G, [y, x, parse_perm("(3,4)", 6)]) == [0, 1, 0]
 
 
@@ -434,6 +437,30 @@ def test_fusion_dispatch_matches_orbit_walk(pipelines):
         G = pipelines.group(name)
         reps = [c.representative for c in class_partition(sylow_subgroup(G, entry.prime))[0]]
         assert _blocks(fuse_by_conjugacy(G, reps)) == _blocks(_oracle_labels(G, reps)), name
+
+
+@pytest.mark.parametrize("name", ["S8", "M10", "PSp4_3"])
+def test_fusion_builds_one_search_per_opening_representative(monkeypatch, pipelines, name):
+    """fuse_by_conjugacy sets up _conjugator_search once for each
+    representative that opens a label and has a later unlabelled one of
+    its cycle type, and for no other; the labels are the oracle's."""
+    G, _, T, _, _, _ = pipelines.run(name)
+    reps = [c.representative for c in T.classes]
+    calls = []
+    real = permcore._conjugator_search
+    monkeypatch.setattr(permcore, "_conjugator_search", lambda G, x: calls.append(x) or real(G, x))
+    labels = fuse_by_conjugacy(G, reps)
+    oracle = _oracle_labels(G, reps)
+    assert _blocks(labels) == _blocks(oracle)
+    # at the turn of opener i, j > i is unlabelled unless an earlier opener took it
+    expected = [
+        x
+        for i, x in enumerate(reps)
+        if oracle[i] == i
+        and any(oracle[j] >= i and cycle_lengths(reps[j]) == cycle_lengths(x) for j in range(i + 1, len(reps)))
+    ]
+    assert calls == expected
+    assert 0 < len(expected) < len(reps)
 
 
 def _random_element(G, rng):
@@ -488,8 +515,8 @@ def test_conjugator_search_random_pairs(name):
 def test_conjugator_search_random_groups(data):
     """Random groups of degree <= 8, x and h random permutations of the
     points: x^g for g in G is found, and x^h is found exactly when the
-    orbit-walk oracle finds it; _conjugates_among, cycle-type filter
-    included, agrees with the oracle on both."""
+    orbit-walk oracle finds it; fuse_by_conjugacy on [x, y, z], cycle-type
+    filter included, gives y and z x's label as the oracle decides."""
     n = data.draw(st.integers(1, 8))
     perm = st.permutations(range(n)).map(tuple)
     G = group_from_generators(data.draw(st.lists(perm, max_size=3)), n)
@@ -502,7 +529,8 @@ def test_conjugator_search_random_groups(data):
         _assert_conjugator(G, x, z, find(z))
     else:
         assert find(z) is None
-    assert _conjugates_among(G, x, [y, z]) == orbit_walk_conjugates(G, x, [y, z])
+    labels = fuse_by_conjugacy(G, [x, y, z])
+    assert [w for w, lab in zip([y, z], labels[1:]) if lab == labels[0]] == orbit_walk_conjugates(G, x, [y, z])
 
 
 def test_conjugator_certificate_raises(monkeypatch, capsys):
@@ -519,6 +547,6 @@ def test_conjugator_certificate_raises(monkeypatch, capsys):
     x = next(g for g in G.generators if perm_order(g) > 1)
     y = next(conjugate(x, g) for g in G.generators if conjugate(x, g) != x)
     with pytest.raises(CertificateError, match="does not conjugate"):
-        is_conjugate(G, x, y)
+        fuse_by_conjugacy(G, [x, y])
     assert main(["run", "--group", "M10"]) == EXIT_CERTIFICATE
     assert "certificate failed: fusion: " in capsys.readouterr().err

@@ -59,6 +59,31 @@ def test_readme_cap_table_matches_the_code():
             assert getattr(importlib.import_module(f"fmrep.{module}"), name) == value, (module, name)
 
 
+def test_every_definition_has_a_caller():
+    """Every function, class and method of fmrep is referenced by name
+    somewhere else in fmrep, so there are no dead wrappers and test-only
+    code lives in tests/.  Dunders are exempt, and so is every name that
+    perfbench/*.py mentions: the tracer wraps names by module attribute,
+    and the benchmark calls api members the pipeline may not."""
+    perfbench = Path(fmrep.__file__).parents[2] / "perfbench"
+    mentioned = {word for path in perfbench.glob("*.py") for word in re.findall(r"\w+", path.read_text())}
+    defined, referenced = [], set()
+    for module in MODULES:
+        for node in ast.walk(ast.parse(module.read_text(), str(module))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module.name, node.lineno, node.name))
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unused = [
+        f"{module}:{line} {name}"
+        for module, line, name in defined
+        if name not in referenced and name not in mentioned and not (name.startswith("__") and name.endswith("__"))
+    ]
+    assert unused == []
+
+
 TRACED = "(traced by perfbench/bench_trace.py)"
 
 
