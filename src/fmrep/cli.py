@@ -40,6 +40,9 @@ EXIT_CAP = 3
 EXIT_MISMATCH = 4
 EXIT_CERTIFICATE = 5
 
+# points of a group read from a file, checked before any permutation is built
+DEGREE_CAP = 10**5
+
 
 class InputError(ValueError):
     pass
@@ -48,7 +51,8 @@ class InputError(ValueError):
 def read_generator_file(path):
     """Text format: optional `degree N` header, then one generator per
     line in 1-based disjoint-cycle notation; `()` is the identity.
-    Degree defaults to the largest point mentioned."""
+    Degree defaults to the largest point mentioned; above DEGREE_CAP it
+    raises CapExceeded before any permutation is parsed."""
     try:
         raw = Path(path).read_text()
     except OSError as ex:
@@ -72,6 +76,8 @@ def read_generator_file(path):
         degree = max(max_point(g) for g in gen_lines)
         if degree == 0:
             raise InputError("cannot infer degree from identity-only input")
+    if degree > DEGREE_CAP:
+        raise CapExceeded(f"degree {degree} exceeds cap {DEGREE_CAP}")
     try:
         return [parse_perm(g, degree) for g in gen_lines], degree
     except ValueError as ex:

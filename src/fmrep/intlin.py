@@ -1,62 +1,72 @@
-"""Exact integer linear algebra: one row Hermite normal form (HNF) for
-integer kernels and integer solvability, and one fraction-free
-(Bareiss) Gauss-Jordan loop for pivot columns, rank, determinant and
-adjugate.  Every elimination stays in Z.
+"""Exact integer linear algebra: one forward echelon that serves the
+row Hermite normal form (HNF), integer kernels and integer solvability,
+and one fraction-free (Bareiss) Gauss-Jordan loop for pivot columns,
+rank, determinant and adjugate.  Every elimination stays in Z.
 
 Matrices are lists of lists of Python ints (arbitrary precision), never
 mutated by these functions.  Lattices are always handed around as
 canonical HNF bases so that lattice equality is matrix equality.
 
 HNF convention (row-style): pivots are positive, entries above a pivot
-are reduced into [0, pivot), zero rows sit at the bottom.  The HNF
-carries no transform; the kernel and the solver read the HNF of
-[A | I], whose right block does that work.
-"""
+are reduced into [0, pivot), zero rows sit at the bottom.  The kernel
+and the solver read a forward echelon of [A | I], whose right block
+does the transform's work; a row operation walks only the nonzero
+entries of the row it subtracts."""
 
 from __future__ import annotations
 
 
-def hermite_normal_form(A):
-    """The canonical row HNF of A, with as many rows as A.
-
-    Pivot selection inside a column picks the entry of least absolute
-    value, which keeps intermediate growth moderate.
-    """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    H = [list(row) for row in A]
-    r = 0
+def _echelon(H, n):
+    """Reduce H in place to a row echelon form on its first n columns and
+    return the pivot columns; rows below them are zero there.  Each
+    column's pivot is its entry of least absolute value, which keeps
+    intermediate growth moderate.  Forward only: nothing above a pivot
+    is touched."""
+    m = len(H)
+    pivots = []
     for c in range(n):
+        r = len(pivots)
         while True:
             rows = [i for i in range(r, m) if H[i][c]]
             if not rows:
                 break
             piv = min(rows, key=lambda i: (abs(H[i][c]), i))
-            if piv != r:
-                H[r], H[piv] = H[piv], H[r]
+            H[r], H[piv] = H[piv], H[r]
             if len(rows) == 1:
+                pivots.append(c)
                 break
-            for i in range(r + 1, m):
-                if H[i][c]:
-                    q = H[i][c] // H[r][c]
-                    if q:
-                        _row_sub(H[i], H[r], q)
-        if H[r][c] if r < m else 0:
-            if H[r][c] < 0:
-                H[r] = [-x for x in H[r]]
-            for i in range(r):
-                q = H[i][c] // H[r][c]
-                if q:
-                    _row_sub(H[i], H[r], q)
-            r += 1
-            if r == m:
-                break
+            p, support = H[r][c], _support(H[r])
+            for i in rows:
+                if i != r and H[i][c]:  # |H[i][c]| >= |p|, so the quotient is nonzero
+                    _row_sub(H[i], support, H[i][c] // p)
+    return pivots
+
+
+def _support(row):
+    """The (column, entry) pairs of row's nonzero entries."""
+    return [(j, x) for j, x in enumerate(row) if x]
+
+
+def _row_sub(row, support, q):
+    """row -= q * other, where support lists other's nonzero entries."""
+    for j, x in support:
+        row[j] -= q * x
+
+
+def hermite_normal_form(A):
+    """The canonical row HNF of A, with as many rows as A: the forward
+    echelon, then each pivot made positive and the entries above it
+    reduced, column by column."""
+    H = [list(row) for row in A]
+    for r, c in enumerate(_echelon(H, len(H[0]) if H else 0)):
+        if H[r][c] < 0:
+            H[r] = [-x for x in H[r]]
+        support = _support(H[r])
+        for i in range(r):
+            q = H[i][c] // H[r][c]
+            if q:
+                _row_sub(H[i], support, q)
     return H
-
-
-def _row_sub(row, other, q):
-    for j in range(len(row)):
-        row[j] -= q * other[j]
 
 
 def _with_identity(A):
@@ -66,10 +76,13 @@ def _with_identity(A):
 
 def integer_kernel(A):
     """Canonical HNF basis of the left kernel {x in Z^m : x*A = 0}, which
-    it spans over Z: the right blocks of the rows of the HNF of [A | I]
-    whose A-part is zero."""
+    it spans over Z: the right blocks of the rows of a forward echelon
+    of [A | I] whose A-part is zero, put into HNF.  The pivot rows are
+    never back-reduced."""
     n = len(A[0]) if A else 0
-    return [row[n:] for row in hermite_normal_form(_with_identity(A)) if not any(row[:n])]
+    H = _with_identity(A)
+    rank = len(_echelon(H, n))
+    return hermite_normal_form([row[n:] for row in H[rank:]])
 
 
 def solve_integer(A, b):
@@ -78,9 +91,11 @@ def solve_integer(A, b):
     n = len(A[0]) if m else 0
     if len(b) != n:
         raise ValueError("dimension mismatch")
-    # reducing (b | 0) by the rows (h | u) of the HNF of [A | I] leaves (b - x*A | -x)
+    # reducing (b | 0) by the rows (h | u) of an echelon of [A | I] leaves (b - x*A | -x)
+    M = _with_identity(A)
+    _echelon(M, n)
     residual = list(b) + [0] * m
-    if not _reduce(hermite_normal_form(_with_identity(A)), residual, n) or any(residual[:n]):
+    if not _reduce(M, residual, n) or any(residual[:n]):
         return None
     return [-y for y in residual[n:]]
 
@@ -105,7 +120,7 @@ def _reduce(rows, residual, n):
         if rem:
             return False
         if q:
-            _row_sub(residual, row, q)
+            _row_sub(residual, _support(row), q)
     return True
 
 

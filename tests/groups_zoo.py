@@ -5,6 +5,9 @@ multiplication rule (closure, identity, inverses and full associativity
 are checked), then realized through its regular representation.
 """
 
+import itertools
+
+from fmrep.cyclonum import prime_divisors
 from fmrep.permcore import group_from_generators, identity, parse_perm
 
 
@@ -193,6 +196,25 @@ def psl2(q):
     shift = perm(lambda x: None if x is None else (x + 1) % q)
     invert = perm(lambda x: 0 if x is None else None if x == 0 else -pow(x, -1, q) % q)
     return group_from_generators([shift, invert], q + 1)
+
+
+def borel(n, p, torus):
+    """B_n(p) = U_n(p) x| T' acting on the p^n vectors of F_p^n, each
+    vector the point of its place in lex order.  U_n(p) is generated by
+    the transvections v[i] += v[i + 1]; T' by the diagonal matrices with
+    a primitive root g at one place: every place for torus="full", the
+    first place only for torus="one"."""
+    g = next(a for a in range(1, p) if all(pow(a, (p - 1) // q, p) != 1 for q in prime_divisors(p - 1)))
+    vectors = list(itertools.product(range(p), repeat=n))
+    point = {v: k for k, v in enumerate(vectors)}
+
+    def perm(i, f):
+        return tuple(point[(*v[:i], f(v) % p, *v[i + 1:])] for v in vectors)
+
+    places = range(n) if torus == "full" else range(1)
+    gens = [perm(i, lambda v, i=i: v[i] + v[i + 1]) for i in range(n - 1)]
+    gens += [perm(i, lambda v, i=i: g * v[i]) for i in places]
+    return group_from_generators(gens, p**n)
 
 
 def groups_fixing_first_points():

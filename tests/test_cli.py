@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,7 @@ from fmrep.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     main,
+    read_generator_file,
     run_analysis,
     verify_catalog,
 )
@@ -96,6 +98,32 @@ def test_group_file_with_degree_header(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "run", "--group", str(f), "--prime", "2")
     assert code == EXIT_OK
     assert "degree 4" in out
+
+
+@pytest.mark.parametrize("degree", [10**11, 10**6])
+def test_exit_code_degree_cap(tmp_path, capsys, degree):
+    """A degree header above the cap stops before any permutation is
+    built: 10^11 points once ended in a MemoryError traceback, and C3 on
+    10^6 points took 752 MB."""
+    f = tmp_path / "big.txt"
+    f.write_text(f"degree {degree}\n(1,2,3)\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "run", "--group", str(f), "--prime", "3")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_CAP
+    assert f"cap exceeded: degree {degree} exceeds cap 100000" in err
+    assert out == ""
+    assert peak < 10**6
+
+
+def test_degree_at_the_cap_is_read(tmp_path):
+    f = tmp_path / "c2.txt"
+    f.write_text("degree 100000\n(1,2)\n")
+    [g], degree = read_generator_file(f)
+    assert degree == len(g) == 100000 and g[:3] == (1, 0, 2)
 
 
 def test_partition_run(tmp_path, capsys):

@@ -29,7 +29,7 @@ from fmrep.cli import run_analysis
 from fmrep.cyclonum import prime_divisors
 from fmrep.permcore import CapExceeded, conjugate, group_from_generators
 
-from .groups_zoo import psl2, symmetric_group
+from .groups_zoo import borel, psl2, symmetric_group
 
 # fields that name or size the ambient group, not its fusion system
 AMBIENT = ("group", "source", "degree", "group_order")
@@ -89,6 +89,10 @@ def small_permutation_groups(draw):
 @settings(max_examples=40, deadline=None)
 @given(G=small_permutation_groups())
 @example(G=symmetric_group(10))  # at p = 5, |S| = 25
+@example(G=borel(3, 3, "full"))  # |S| = 3^3, lattice rank 5
+@example(G=borel(3, 3, "one"))  # rank 7
+@example(G=borel(3, 5, "full"))  # |S| = 5^3, rank 5
+@example(G=borel(3, 5, "one"))  # rank 11
 def test_sylow_of_order_at_most_p_cubed_is_factorial(G):
     for p in prime_divisors(G.order):
         p_part = p ** next(e for e in range(G.order) if G.order % p ** (e + 1))

@@ -1,5 +1,8 @@
 import random
 
+from fmrep import intlin
+from fmrep.chartab import character_table
+from fmrep.fusion import fusion_from_partition
 from fmrep.intlin import (
     adjugate,
     det,
@@ -10,7 +13,9 @@ from fmrep.intlin import (
     rank,
     solve_integer,
 )
+from fmrep.repring import difference_matrix
 
+from .groups_zoo import sylow_products
 from .oracles import echelon, is_unimodular, lattices_equal, transform_hermite_normal_form, two_hnf_kernel
 
 
@@ -285,3 +290,72 @@ def test_against_the_transform_hnf_and_forward_elimination():
                 solvable += 1
                 assert [sum(c * row[j] for c, row in zip(x, A)) for j in range(n)] == b
     assert square > 200 and deficient > 300 and solvable > 1000
+
+
+def difference_like(rng, m, span):
+    """An m-row matrix shaped like a difference matrix: up to 4m columns,
+    each entry nonzero with one probability in [0.3, 0.6], some columns
+    repeated or multiplied by a small integer, and some rows zero or
+    integer combinations of others, so the left kernel is nontrivial."""
+    density = rng.uniform(0.3, 0.6)
+    n = rng.randrange(1, 4 * m + 1)
+    cols = [[rng.choice([-1, 1]) * rng.randrange(1, span + 1) if rng.random() < density else 0
+             for _ in range(m)] for _ in range(rng.randrange(1, n + 1))]
+    while len(cols) < n:
+        c = rng.choice([-3, -2, -1, 1, 1, 2, 3])  # repeated (c = 1) and parallel columns
+        cols.append([c * x for x in rng.choice(cols)])
+    rng.shuffle(cols)
+    A = [list(row) for row in zip(*cols)]
+    dependent = rng.sample(range(m), rng.randrange(1, m))
+    free = [i for i in range(m) if i not in dependent]
+    for i in dependent:
+        others = [(rng.randrange(-2, 3), rng.choice(free)) for _ in range(rng.randrange(0, 3))]
+        A[i] = [sum(c * A[j][k] for c, j in others) for k in range(n)]
+    return A
+
+
+def test_kernel_hnf_and_solver_on_difference_shaped_matrices():
+    """Kernel, HNF and integer solvability agree with the transform-HNF
+    oracles on 300 seeded difference-shaped matrices (2-12 rows, up to
+    4x as many columns, rank-deficient) and on 10 with 70-bit entries."""
+    rng = random.Random(59)
+    wide = unsolvable = 0
+    for trial in range(310):
+        m = rng.randrange(2, 13) if trial < 300 else rng.randrange(2, 7)
+        A = difference_like(rng, m, span=9 if trial < 300 else 2**70)
+        n = len(A[0])
+        wide += n > m
+        K = integer_kernel(A)
+        assert K == two_hnf_kernel(A)
+        assert len(K) == m - rank(A) > 0
+        H = hermite_normal_form(A)
+        assert H == transform_hermite_normal_form(A)[0]
+        basis = [row for row in H if any(row)]
+        y = [rng.randrange(-5, 6) for _ in range(m)]
+        in_span = [sum(c * row[j] for c, row in zip(y, A)) for j in range(n)]
+        for b in (in_span, [x + (j == 0) for j, x in enumerate(in_span)]):
+            x = solve_integer(A, b)
+            assert (x is not None) == (oracle_hnf_basis(basis + [b]) == basis)
+            if x is not None:
+                assert [sum(c * row[j] for c, row in zip(x, A)) for j in range(n)] == b
+            unsolvable += x is None
+    assert wide > 200 and unsolvable > 100
+
+
+def test_kernel_row_operations_touch_only_pivot_supports(monkeypatch):
+    """Work guard: the kernel of the k = 100 difference matrix (D8 x C2 x
+    D8 x C2, one block per element order, 100 x 97) subtracts rows whose
+    supports sum to at most 60,000 entries.  Row operations over whole
+    rows of [A | I], back-reduced at every pivot, touched 557,116."""
+    [G] = [G for name, G in sylow_products() if name == "D8xC2xD8xC2"]
+    T = character_table(G)
+    blocks = {}
+    for i, c in enumerate(T.classes):
+        blocks.setdefault(c.element_order, []).append(i + 1)
+    A = difference_matrix(fusion_from_partition([blocks[o] for o in sorted(blocks)], T), T)
+    touched = []
+    real = intlin._row_sub
+    monkeypatch.setattr(intlin, "_row_sub", lambda row, support, q: touched.append(len(support)) or real(row, support, q))
+    K = integer_kernel(A)
+    assert (len(A), len(A[0]), len(K)) == (100, 97, len(blocks))
+    assert 0 < sum(touched) <= 60_000

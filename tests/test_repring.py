@@ -9,13 +9,13 @@ import pytest
 import fmrep.repring
 from fmrep.catalog import CATALOG, traditional_labels
 from fmrep.chartab import character_table
-from fmrep.fusion import fusion_from_partition
+from fmrep.fusion import fusion_from_partition, fusion_pattern
 from fmrep.intlin import integer_kernel, lattice_contains, solve_integer
-from fmrep.permcore import CertificateError
+from fmrep.permcore import CertificateError, sylow_subgroup
 from fmrep.repring import difference_matrix, format_virtual, fusing_pairs, rep_lattice
 
-from .groups_zoo import _perm_group
-from .oracles import full_difference_matrix, is_invariant, lattices_equal
+from .groups_zoo import _perm_group, borel
+from .oracles import full_difference_matrix, is_invariant, lattices_equal, two_hnf_kernel
 
 # Sylow subgroups whose stable partitions are checked against the oracle:
 # P3(S9) = C3 wr C3 (k = 17) and D32, the Sylow 2-subgroup of PSL2_31 (k = 11).
@@ -131,6 +131,20 @@ def _assert_matches_full_matrix(F, T):
 def test_difference_matrix_matches_full_oracle(name, pipelines):
     _, _, T, F, _, _ = pipelines.run(name)
     _assert_matches_full_matrix(F, T)
+
+
+@pytest.mark.parametrize("p,torus", [(3, "full"), (3, "one"), (5, "full"), (5, "one")])
+def test_borel_lattice_matches_full_oracle(p, torus):
+    """B3(p) = U3(p) x| T' fuses classes of S = U3(p) with values in
+    Z[zeta_p]; at p = 5 the difference matrix is 29 x 84 (full torus) or
+    29 x 60 (one entry), wider than tall.  The lattice is the oracle's
+    kernel of all the columns."""
+    G = borel(3, p, torus)
+    S = sylow_subgroup(G, p)
+    T = character_table(S)
+    F = fusion_pattern(G, S, T)
+    _assert_matches_full_matrix(F, T)
+    assert [list(row) for row in rep_lattice(F, T).basis] == two_hnf_kernel(full_difference_matrix(F, T))
 
 
 def _stable_partitions(T, rng, draws):

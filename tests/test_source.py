@@ -50,7 +50,7 @@ def test_readme_cap_table_matches_the_code():
     their values, in order; each constant exists with that value."""
     readme = (Path(fmrep.__file__).parents[2] / "README.md").read_text()
     rows = [line.split("|")[1:3] for line in readme.splitlines() if line.startswith("| `")]
-    assert len(rows) == 5
+    assert len(rows) == 6
     for names, values in rows:
         names = re.findall(r"`(\w+)\.(\w+)`", names)
         values = [_readme_number(v) for v in values.split(",")]

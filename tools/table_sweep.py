@@ -3,11 +3,13 @@
 of Sylow subgroups.
 
 Builds P3(S9) x C3 (k = 51), P3(S9) x C3 x C3 (k = 153) and
-P3(S9) x P3(S9) (k = 289), times the table of each and then the
-lattice of the partition with one block per element order (best of N
-runs each).  The table rows and the lattice basis are checked against
-pinned SHA-256 digests, each taken over one line per row with its
-entries joined by ", ".  Exits 1 if any digest differs.
+P3(S9) x P3(S9) (k = 289), times the table of each, then the lattice
+of the partition with one block per element order, then that
+lattice's integer kernel alone (best of N runs each).  The table rows,
+the lattice basis and the kernel are checked against pinned SHA-256
+digests, each taken over one line per row with its entries joined by
+", "; the kernel is the lattice basis and shares its digest.  Exits 1
+if any digest differs.
 
 Usage: python tools/table_sweep.py [--repeat N]
 """
@@ -22,8 +24,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fmrep.chartab import character_table
 from fmrep.fusion import fusion_from_partition
+from fmrep.intlin import integer_kernel
 from fmrep.permcore import group_from_generators, parse_perm
-from fmrep.repring import rep_lattice
+from fmrep.repring import difference_matrix, rep_lattice
 
 C3WRC3 = ["(1,2,3)", "(1,4,7)(2,5,8)(3,6,9)"]
 C3 = ["(1,2,3)"]
@@ -100,6 +103,8 @@ def main(argv=None):
         F = fusion_from_partition(order_partition(T), T)
         best, L = best_of(args.repeat, rep_lattice, F, T)
         ok &= report(name, T.class_count, "lattice", best, rows_digest(L.basis), lattice_pin)
+        best, K = best_of(args.repeat, integer_kernel, difference_matrix(F, T))
+        ok &= report(name, T.class_count, "kernel", best, rows_digest(K), lattice_pin)
     return 0 if ok else 1
 
 
