@@ -200,7 +200,7 @@ def atoms_hilbert(lattice: RepLattice, degrees):
     d, r = lattice.rank, lattice.irr_count
     if d > RANK_CAP or r > IRR_CAP:
         raise CapExceeded(f"rank {d} x irreducibles {r} beyond caps ({RANK_CAP}, {IRR_CAP})")
-    constraints = list(zip(*lattice.basis))
+    constraints = list(dict.fromkeys(map(_primitive, zip(*lattice.basis))))  # one per direction
     rays = extreme_rays(constraints, d)
     simplices = _triangulate_cone(rays, constraints, d)
     candidates = set(rays)

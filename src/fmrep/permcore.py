@@ -12,9 +12,12 @@ then q.
 
 from __future__ import annotations
 
+import random
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain, islice
 from math import gcd, isqrt, lcm, prod
 from operator import itemgetter
 
@@ -177,18 +180,6 @@ class PermGroup:
     __slots__ = ("degree", "generators", "base", "_transversals", "_inverses", "_strong", "order")
 
     def __init__(self, generators, degree):
-        self._construct(generators, degree, None)
-
-    @classmethod
-    def _of_order(cls, generators, degree, order):
-        """PermGroup(generators, degree) for generators known to generate
-        a group of this order: the same internal state, built faster (see
-        _build)."""
-        group = cls.__new__(cls)
-        group._construct(generators, degree, order)
-        return group
-
-    def _construct(self, generators, degree, known_order):
         for g in generators:
             if len(g) != degree:
                 raise ValueError("generator degree mismatch")
@@ -198,7 +189,7 @@ class PermGroup:
         self._transversals = []
         self._inverses = []  # per level, point -> inverse of its transversal element
         self._strong = []
-        self._build(known_order)
+        self._build()
         self.order = prod(map(len, self._transversals))
 
     # -- construction ---------------------------------------------------
@@ -213,91 +204,72 @@ class PermGroup:
     # by the group H_l of _strong[l], so the base increases and H_l fixes
     # every point before base[l].  The invariant kept is that the base
     # increases, that every strong generator at level l fixes every point
-    # before base[l], and that some one moves base[l].  The base starts as
-    # the sorted least moved points of the generators, so it holds then.
-    # A residue of level i lies in H_i and fixes base[i], so it fixes
-    # every point up to base[i], and its least moved point m sorts to a
-    # position j > i.  If m is no base point, a level is inserted at j:
-    # every strong generator at old level j or deeper has its base point
-    # above m and fixes m, so a copy of old level j's set is valid for the
-    # new level, and old level j, now below it, stays valid.  The residue
-    # then joins levels i+1..j, whose base points are at most m.
+    # before base[l], and that some one moves base[l].  _install keeps it:
+    # it joins s only to levels whose base points are at most s's least
+    # moved point m, and s fixes every point before m.  If m is no base
+    # point, a level is inserted at its place j: every strong generator at
+    # old level j or deeper has its base point above m and fixes m, so a
+    # copy of old level j's set is valid for the new level, and old level
+    # j, now below it, stays valid.  A residue of level i lies in H_i and
+    # fixes base[i], so m > base[i] and it joins levels i+1..j.
     #
     # The product of the transversal lengths never exceeds the group
     # order: the group of _strong[i+1] is a subgroup of the group of
-    # _strong[i] that fixes base[i] (an inserted level too: the residue
-    # lies in H_i and fixes base[:j]), so the latter has at least
+    # _strong[i] that fixes base[i], so the latter has at least
     # len(transversal i) times as many elements.  Each residue grows a
     # transversal or inserts one of length at least 2, so the run ends.
     # The product reaches the order only when each of those is an
-    # equality, that is when every level already meets the Schreier
-    # condition; then the remaining sifts would add nothing, and a known
-    # order ends the run.
+    # equality, that is when every level meets the Schreier condition.
 
-    def _build(self, known_order):
-        ident = identity(self.degree)
-        gens = [g for g in self.generators if g != ident]
-        if not gens:
-            return
-        least = [next(i for i, j in enumerate(g) if i != j) for g in gens]
-        self.base = sorted(set(least))
-        k = len(self.base)
-        self._strong = [[] for _ in range(k)]
-        for g, m in zip(gens, least):
-            for l in range(bisect_left(self.base, m) + 1):
-                self._strong[l].append(g)
-        self._transversals = [None] * k
-        self._inverses = [None] * k
-        for l in range(k):
-            self._recompute_transversal(l)
-        i = k - 1
-        while i >= 0 and prod(map(len, self._transversals)) != known_order:
+    def _build(self):
+        for g in self.generators:
+            if g != identity(self.degree):
+                self._install(g, 0)
+        i = len(self.base) - 1
+        while i >= 0:
             deeper = self._verify_level(i)
             i = i - 1 if deeper is None else deeper
 
-    def _recompute_transversal(self, level):
-        base_pt = self.base[level]
-        trans = {base_pt: identity(self.degree)}
-        invs = dict(trans)
-        queue = [base_pt]
-        gens = [(s, _left(inverse(s))) for s in self._strong[level]]
-        for pt in queue:
-            u = trans[pt]
-            for s, s_inv in gens:
-                q = s[pt]
-                if q not in trans:
-                    trans[q] = mul(u, s)
-                    invs[q] = s_inv(invs[pt])
-                    queue.append(q)
-        self._transversals[level] = trans
-        self._inverses[level] = invs
+    def _install(self, s, start):
+        """Join s to the strong generators of levels start..j, where base[j]
+        is its least moved point (a new level when that point was no base
+        point), and grow each orbit and transversal in place: s moves the
+        points already in the orbit, every generator the new ones.
+        Returns j."""
+        m = next(p for p, q in enumerate(s) if p != q)
+        j = bisect_left(self.base, m)
+        if self.base[j:j + 1] != [m]:
+            self._strong.insert(j, list(self._strong[j]) if j < len(self._strong) else [])
+            self.base.insert(j, m)
+            self._transversals.insert(j, {m: identity(self.degree)})  # the copied generators fix m
+            self._inverses.insert(j, {m: identity(self.degree)})
+        moves = [(s, _left(inverse(s)))]
+        for l in range(start, j + 1):
+            self._strong[l].append(s)
+            trans, invs = self._transversals[l], self._inverses[l]
+            queue = list(trans)
+            old, gens = len(queue), moves
+            for k, pt in enumerate(queue):
+                if k == old:
+                    gens = [(g, _left(inverse(g))) for g in self._strong[l]]
+                for g, g_inv in gens:
+                    if g[pt] not in trans:
+                        trans[g[pt]], invs[g[pt]] = mul(trans[pt], g), g_inv(invs[pt])
+                        queue.append(g[pt])
+        return j
 
     def _verify_level(self, i):
-        """Sift every Schreier generator of level i through deeper levels.
-
-        On failure, installs the residue as a strong generator at levels
-        i+1..j, where base[j] is its least moved point (a new level when
-        that point was no base point), and returns j (the level to
-        re-verify from); returns None when the level passes.
-        """
+        """Sift every Schreier generator of level i through deeper levels;
+        install the first nontrivial residue at levels i+1.. and return
+        _install's j, the level to re-verify from, or None when the level
+        passes."""
         trans, invs = self._transversals[i], self._inverses[i]
         for pt in sorted(trans):
             u = trans[pt]
             for s in self._strong[i]:
                 residue = self._sift(mul(mul(u, s), invs[s[pt]]), i + 1)
-                if residue is None:
-                    continue
-                m = next(p for p, q in enumerate(residue) if p != q)
-                j = bisect_left(self.base, m)
-                if self.base[j:j + 1] != [m]:
-                    self._strong.insert(j, list(self._strong[j]) if j < len(self._strong) else [])
-                    self.base.insert(j, m)
-                    self._transversals.insert(j, None)
-                    self._inverses.insert(j, None)
-                for l in range(i + 1, j + 1):
-                    self._strong[l].append(residue)
-                    self._recompute_transversal(l)
-                return j
+                if residue is not None:
+                    return self._install(residue, i + 1)
         return None
 
     def _sift(self, x, start=0):
@@ -353,10 +325,14 @@ def group_from_generators(gens, degree=None):
 
 
 # Most work the walks of one sylow_subgroup call may do, in node-points (each
-# child tried costs the degree): PSL3_19 needs 1.2e7, S16 at p = 3 6e5 and
-# S17 at p = 2 9e6 (4 s: its nodes AND masks of |P| = 2^15 bits), and PSL4_7
-# stops here after a 3 s walk on a 2-core x86-64 VM.
+# child tried costs the degree): PSL3_19 needs 6.2e6, S16 at p = 3 3.4e5 and
+# S17 at p = 2 1.8e5 (0.4 s; 9e6 and 4 s when a generators-only guess made it
+# restart), and PSL4_7 stops here after a 2.5 s walk on a 2-core x86-64 VM.
 SYLOW_STREAM_CAP = 5 * 10**7
+# Random elements of G the guess of the largest p-element order draws.
+SYLOW_SAMPLES = 32
+# Trivial sifts in a row that end _renamed_chain; each has chance <= 1/2.
+SIFT_STREAK = 64
 # Most work one conjugacy search of a fusion decision may do, in node-points:
 # the largest search of PSL3_19 (degree 381) needs 4.7e7 in about 1 s.
 CONJUGACY_CAP = 4 * 10**8
@@ -485,6 +461,26 @@ def _lex_first(levels, n, bound, keep_leaf, normalizing=None, work=0):
                  (0, False, [(1 << len(elements)) - 1] * len(gens)), work, SYLOW_STREAM_CAP, "sylow: lex walk")
 
 
+def _random_elements(G):
+    """Uniform random elements of G, drawn from a fixed seed: every element
+    is one product of one transversal element per level."""
+    rng, levels = random.Random(0), [list(trans.values()) for trans in reversed(G._transversals)]
+    while True:
+        yield reduce(mul, map(rng.choice, levels), identity(G.degree))
+
+
+def _p_order_guess(G, p, limit):
+    """The largest p-part of the order of G's generators and of
+    SYLOW_SAMPLES random elements, at least p; the draws stop at limit,
+    which no p-element order (the p-part of an element's) exceeds."""
+    m = p
+    for g in chain(G.generators, islice(_random_elements(G), SYLOW_SAMPLES)):
+        if m == limit:
+            break
+        m = max(m, gcd(perm_order(g), limit))
+    return m
+
+
 def sylow_subgroup(G, p):
     """A Sylow p-subgroup of G, deterministically chosen.
 
@@ -495,12 +491,14 @@ def sylow_subgroup(G, p):
     Each search is one _lex_first walk of G's own chain, so a walk stops
     at the element the definition picks.
 
-    The maximal order m is guessed as the largest p-part of a
-    generator's order (at least p), which some element has.  S grown
-    from the lex-least element of order m is Sylow, and all Sylow
-    subgroups are conjugate, so its exponent e is the largest p-element
-    order in G: e = m certifies the guess, and e > m redoes the search
-    from the lex-least element of order e.
+    The maximal order m is guessed as the largest p-part order of G's
+    generators and of a fixed sample of uniform random elements of G
+    (_p_order_guess), which some element has.  S grown from the
+    lex-least element of order m is Sylow, and all Sylow subgroups are
+    conjugate, so its exponent e is the largest p-element order in G:
+    e = m certifies the guess, and e > m redoes the search from the
+    lex-least element of order e.  The sample makes that restart rare:
+    on the fast and table catalog entries the guess is e.
 
     Raises CapExceeded when the walks together exceed SYLOW_STREAM_CAP
     node-points, and CertificateError unless the result has order |G|_p.
@@ -515,8 +513,7 @@ def sylow_subgroup(G, p):
         limit *= p
     n, ident = G.degree, identity(G.degree)
     levels, work = _lex_chain(G), 0
-    # the p-part of a generator's order divides |G| and is at most the degree
-    m = max(p, *(gcd(perm_order(g), limit) for g in G.generators))
+    m = _p_order_guess(G, p, limit)
 
     def keep(x):  # a p-element outside P = <gens> that normalizes P
         if x in pset or not _p_order(x, p, limit, ident):
@@ -597,19 +594,39 @@ def _cycle_length_map(p):
     return [lengths[i] for i in range(len(p))]
 
 
+def _renamed_chain(G, rename):
+    """_lex_chain of G with its points renamed by `rename`, with no
+    Schreier-Sims run: random elements of G, renamed, are sifted into a
+    chain, each residue installed from level 0.  The chain is always one
+    of a subgroup, so transversal lengths that multiply to |G| certify
+    it complete.  CertificateError after SIFT_STREAK trivial sifts in a
+    row short of that."""
+    H, streak, elements = PermGroup([], G.degree), 0, map(rename, _random_elements(G))
+    while prod(map(len, H._transversals)) < G.order:
+        residue = H._sift(next(elements))
+        if residue is not None:
+            H._install(residue, 0)
+            streak = 0
+        elif (streak := streak + 1) == SIFT_STREAK:
+            raise CertificateError(f"renamed chain: {SIFT_STREAK} trivial sifts short of order {G.order}")
+    return _lex_chain(H)
+
+
 def _conjugator_search(G, x):
     """find(y) -> some g in G with conjugate(x, g) == y, or None.
 
     Set-up, once per x: relabel the points so that x's cycles are
-    consecutive runs, longest first, and take the chain of the group the
-    relabelled generators give.  Its lex base points b_0 < b_1 < ... then
+    consecutive runs, longest first, and take the lex chain of G under
+    that renaming (_renamed_chain).  Its base points b_0 < b_1 < ... then
     follow x's cycles, and most base points find their x-preimage before
     them.  find is one _walk of that chain; g conjugates x to y exactly
     when y[g[i]] = g[x[i]] for every point i, so at a node c:
     - Forced child: if x^-1(b) < b, every conjugator g below c has
       g(b) = y(c(x^-1 b)), so at most one child is kept, by lookup.
     - Otherwise a conjugator maps b's x-cycle onto a y-cycle of the same
-      length, so only children that send b onto such a y-cycle are kept.
+      length, so only children that send b onto such a y-cycle are kept,
+      in increasing order of the image of b: the walk reads only cosets,
+      and find returns the lex-least conjugator in the renamed points.
     - A window checks the x-cycle length of each of its points against
       the y-cycle length of its image, and y[g[i]] = g[x[i]] for every
       pair (i, x[i]) whose later end lies in it.
@@ -624,7 +641,7 @@ def _conjugator_search(G, x):
     def relabel(p):  # p with its points renamed
         return _left(pick(p))(pos)
 
-    levels = _lex_chain(PermGroup._of_order([relabel(g) for g in G.generators], n, G.order))
+    levels = _renamed_chain(G, relabel)
     xr = relabel(x)
     xinv = inverse(xr)
     xlen = _cycle_length_map(xr)
@@ -639,7 +656,7 @@ def _conjugator_search(G, x):
             if xinv[b] < b:
                 pt = c.index(yr[c[xinv[b]]])
                 return [pt] if pt in left else []
-            return [pt for pt in left if ylen[c[pt]] == xlen[b]]
+            return sorted((pt for pt in left if ylen[c[pt]] == xlen[b]), key=c.__getitem__)
 
         def accept(g, w, state):
             window, (pairs,) = windows[w]
@@ -652,25 +669,46 @@ def _conjugator_search(G, x):
     return find
 
 
+def _orbital_counts(G):
+    """x -> the sorted orbital labels of the pairs (i, x(i)) for transitive
+    G, else (): a G-class invariant, as g in G maps (i, x(i)) to the pair
+    (g(i), x^g(g(i))) of the same orbital.  The orbital of (i, j) is the
+    suborbit (orbit of G_0, generated by level 1) of _inverses[0][i][j]."""
+    n, strong = G.degree, G._strong[1] if len(G.base) > 1 else ()
+    if not G.base or len(G._transversals[0]) < n:
+        return lambda x: ()
+    suborbit = [None] * n
+    for a in range(n):
+        queue = [a] if suborbit[a] is None else []
+        for b in queue:
+            if suborbit[b] is None:
+                suborbit[b] = a
+                queue += [s[b] for s in strong]
+    invs = G._inverses[0]
+    return lambda x: sorted(suborbit[invs[i][x[i]]] for i in range(n))
+
+
 def fuse_by_conjugacy(G, reps):
     """Partition `reps` by G-conjugacy; returns a list of group labels 0..k-1.
 
-    Each representative x not yet labelled opens the next label.  Every
-    later unlabelled representative y of x's cycle type is then decided
-    by one backtrack search over one chain built for x
+    Each representative x not yet labelled opens the next label.  A
+    later unlabelled representative y with another cycle type or other
+    orbital counts (_orbital_counts) is not conjugate to x; every other
+    one is decided by one backtrack search over one chain built for x
     (_conjugator_search, set up at the first such y).  Each g found is
     certified before y takes x's label: CertificateError unless g is in
     G and conjugate(x, g) == y.
     """
     labels = [None] * len(reps)
+    counts = _orbital_counts(G)
+    keys = [(cycle_lengths(x), counts(x)) for x in reps]
     next_label = 0
     for i, x in enumerate(reps):
         if labels[i] is not None:
             continue
-        labels[i] = next_label
-        ctype, find = cycle_lengths(x), None
+        labels[i], find = next_label, None
         for j, y in enumerate(reps[i + 1:], i + 1):
-            if labels[j] is not None or cycle_lengths(y) != ctype:
+            if labels[j] is not None or keys[j] != keys[i]:
                 continue
             find = find or _conjugator_search(G, x)
             g = find(y)

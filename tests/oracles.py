@@ -25,6 +25,13 @@ The conjugacy oracle walks the conjugation orbit of x under G's
 generators until every candidate has been seen, or the orbit ends: the
 decision fmrep.permcore made before its backtrack search.
 
+The chain oracle is the chain fmrep.permcore's conjugacy search walked
+before it read each renamed chain off G's chain: a deterministic
+Schreier-Sims run on the renamed generators.
+
+The orbital oracle finds G's orbits on ordered pairs by a walk of every
+pair under G's generators, with no stabilizer chain.
+
 The atoms oracle walks the lattice points inside the box bounded by the
 regular representation and keeps the minimal ones.  It is complete only
 when every atom is a subrepresentation of the regular representation,
@@ -91,7 +98,9 @@ from fmrep.cyclonum import (
 from fmrep.intlin import det, hermite_normal_form, solve_integer
 from fmrep.permcore import (
     CertificateError,
+    PermGroup,
     _left,
+    _lex_chain,
     class_partition,
     conjugate,
     cycle_lengths,
@@ -423,6 +432,32 @@ def orbit_walk_conjugates(G, x, ys):
                 queue.append(z)
                 waiting.discard(z)
     return [y for y in ys if y in orbit]
+
+
+def schreier_sims_chain(G, rename):
+    """The lex chain of G with its points renamed by `rename`, from a
+    Schreier-Sims run on the renamed generators; a stand-in for
+    fmrep.permcore._renamed_chain."""
+    return _lex_chain(PermGroup([rename(g) for g in G.generators], G.degree))
+
+
+def orbital_counts(G):
+    """x -> the multiset of G-orbits on ordered pairs that the pairs
+    (i, x(i)) lie in, as a sorted tuple of orbit numbers."""
+    n = G.degree
+    orbital = {}
+    for start in ((i, j) for i in range(n) for j in range(n)):
+        if start in orbital:
+            continue
+        orbital[start] = len(orbital)
+        queue = [start]
+        for i, j in queue:
+            for g in G.generators:
+                pair = (g[i], g[j])
+                if pair not in orbital:
+                    orbital[pair] = orbital[start]
+                    queue.append(pair)
+    return lambda x: tuple(sorted(orbital[i, x[i]] for i in range(n)))
 
 
 def atoms_bounded_search(lattice, table, budget=None):

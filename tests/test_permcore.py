@@ -1,4 +1,5 @@
 import ast
+import itertools
 import os
 import random
 import subprocess
@@ -18,6 +19,8 @@ from fmrep.permcore import (
     CertificateError,
     PermGroup,
     _conjugator_search,
+    _orbital_counts,
+    _renamed_chain,
     class_partition,
     conjugate,
     cycle_lengths,
@@ -33,8 +36,10 @@ from fmrep.permcore import (
     sylow_subgroup,
 )
 
-from .groups_zoo import groups_fixing_first_points
-from .oracles import orbit_walk_conjugates
+from .groups_zoo import all_groups_up_to_16, groups_fixing_first_points
+from .oracles import orbit_walk_conjugates, orbital_counts, schreier_sims_chain
+
+NON_STRETCH = [n for n, e in CATALOG.items() if e.tier != "stretch"]
 
 
 def S(n):
@@ -123,24 +128,6 @@ def test_m10_order_and_exhaustive_enumeration():
         frontier = new
     assert len(elems) == 720
     assert sorted(elems) == sorted(G.elements())
-
-
-def test_known_order_build_matches_full_build():
-    """PermGroup._of_order stops Schreier-Sims once the transversals reach
-    the order, and must end in the state of a full run: checked on the
-    catalog groups outside the stretch tier, with their points renamed
-    at random."""
-    rng = random.Random(8)
-    for name, entry in CATALOG.items():
-        if entry.tier == "stretch":
-            continue
-        G = load_group(name)
-        rename = list(range(G.degree))
-        rng.shuffle(rename)
-        gens = [tuple(rename[g[i]] for i in inverse(tuple(rename))) for g in G.generators]
-        full, fast = PermGroup(gens, G.degree), PermGroup._of_order(gens, G.degree, G.order)
-        assert full.order == G.order, name
-        assert (fast.base, fast._strong, fast._transversals) == (full.base, full._strong, full._transversals), name
 
 
 def test_membership():
@@ -443,7 +430,8 @@ def test_fusion_dispatch_matches_orbit_walk(pipelines):
 def test_fusion_builds_one_search_per_opening_representative(monkeypatch, pipelines, name):
     """fuse_by_conjugacy sets up _conjugator_search once for each
     representative that opens a label and has a later unlabelled one of
-    its cycle type, and for no other; the labels are the oracle's."""
+    its cycle type and orbital counts, and for no other; the labels are
+    the oracle's."""
     G, _, T, _, _, _ = pipelines.run(name)
     reps = [c.representative for c in T.classes]
     calls = []
@@ -452,12 +440,15 @@ def test_fusion_builds_one_search_per_opening_representative(monkeypatch, pipeli
     labels = fuse_by_conjugacy(G, reps)
     oracle = _oracle_labels(G, reps)
     assert _blocks(labels) == _blocks(oracle)
-    # at the turn of opener i, j > i is unlabelled unless an earlier opener took it
+    # at the turn of opener i, j > i is unlabelled unless an earlier opener
+    # took it; it is searched when its cycle type and orbital counts are x's
+    # (all three groups are transitive)
+    counts = orbital_counts(G)
+    key = [(cycle_lengths(x), counts(x)) for x in reps]
     expected = [
         x
         for i, x in enumerate(reps)
-        if oracle[i] == i
-        and any(oracle[j] >= i and cycle_lengths(reps[j]) == cycle_lengths(x) for j in range(i + 1, len(reps)))
+        if oracle[i] == i and any(oracle[j] >= i and key[j] == key[i] for j in range(i + 1, len(reps)))
     ]
     assert calls == expected
     assert 0 < len(expected) < len(reps)
@@ -550,3 +541,121 @@ def test_conjugator_certificate_raises(monkeypatch, capsys):
         fuse_by_conjugacy(G, [x, y])
     assert main(["run", "--group", "M10"]) == EXIT_CERTIFICATE
     assert "certificate failed: fusion: " in capsys.readouterr().err
+
+
+# -- the renamed chain -------------------------------------------------------
+
+
+def _random_renaming(G, rng):
+    """p -> p with its points renamed by a random permutation."""
+    sigma = list(range(G.degree))
+    rng.shuffle(sigma)
+    return lambda p: conjugate(p, tuple(sigma))
+
+
+@pytest.mark.parametrize("name", NON_STRETCH)
+def test_renamed_chain_matches_schreier_sims_chain(name):
+    """_renamed_chain, read off G's chain, under two random renamings of
+    every catalog group outside the stretch tier: its base and the point
+    set of each transversal are those of the Schreier-Sims chain of the
+    renamed generators, and the element keyed pt maps the base point to
+    pt, fixes every point before it and lies in the renamed group."""
+    G = load_group(name)
+    rng = random.Random(name)
+    ident = identity(G.degree)
+    for _ in range(2):
+        rename = _random_renaming(G, rng)
+        levels = _renamed_chain(G, rename)
+        oracle = schreier_sims_chain(G, rename)
+        assert [(b, set(left)) for b, left in levels] == [(b, set(left)) for b, left in oracle]
+        H = PermGroup([rename(g) for g in G.generators], G.degree)
+        for b, left in levels:
+            for pt, u in left.items():
+                u = u(ident)
+                assert u[b] == pt and all(u[i] == i for i in range(b)) and u in H
+
+
+@pytest.mark.parametrize("name", NON_STRETCH)
+def test_conjugator_search_walks_as_on_schreier_sims_chain(monkeypatch, name):
+    """Each find returns the same conjugator, after the same node-points,
+    as the same search on the Schreier-Sims chain of the renamed
+    generators (the walk reads only cosets: it visits the children of an
+    unforced level in increasing order of their image).  Checked for every S-class representative x of
+    every catalog group outside the stretch tier, against each later one
+    of its cycle type and against x^g for a random g."""
+    G = load_group(name)
+    reps = [c.representative for c in class_partition(sylow_subgroup(G, CATALOG[name].prime))[0]]
+    rng = random.Random(name)
+    ys = [[y for y in reps[i + 1:] if cycle_lengths(y) == cycle_lengths(x)] + [conjugate(x, _random_element(G, rng))]
+          for i, x in enumerate(reps)]
+    real = permcore._walk
+    works = []
+
+    def walk(*args):
+        g, work = real(*args)
+        works.append(work)
+        return g, work
+
+    monkeypatch.setattr(permcore, "_walk", walk)
+    runs = []
+    for chain in (_renamed_chain, schreier_sims_chain):
+        monkeypatch.setattr(permcore, "_renamed_chain", chain)
+        finds = [_conjugator_search(G, x) for x in reps]
+        runs.append([[(find(y), works[-1]) for y in candidates] for find, candidates in zip(finds, ys)])
+    assert runs[0] == runs[1]
+    assert all(found[-1][0] is not None for found in runs[0])  # x^g
+
+
+def test_renamed_chain_certificate_raises(monkeypatch):
+    """Elements that all lie in a proper subgroup never complete the
+    chain: after SIFT_STREAK trivial sifts in a row the set-up raises,
+    also under python -O."""
+    G = load_group("M10")
+    x = next(g for g in G.generators if perm_order(g) > 1)
+    monkeypatch.setattr(permcore, "_random_elements", lambda G: itertools.repeat(x))
+    with pytest.raises(CertificateError, match="64 trivial sifts short of order 720"):
+        _renamed_chain(G, lambda p: p)
+
+
+# -- orbital counts ----------------------------------------------------------
+
+ORBITAL = [(name, None) for name in NON_STRETCH] + list(SMALL.items()) + all_groups_up_to_16()
+
+
+@pytest.mark.parametrize("name,G", ORBITAL, ids=[n for n, _ in ORBITAL])
+def test_orbital_counts_are_a_class_invariant(name, G):
+    """_orbital_counts on the catalog groups outside the stretch tier, the
+    groups beyond the catalog and the groups of order at most 16: equal
+    on x and x^g for random x and g in G, equal on every pair of random
+    elements of one cycle type that the orbit-walk oracle finds
+    conjugate, and, for transitive G, splitting random elements as the
+    counts of the orbital oracle do; () for intransitive G."""
+    G = load_group(name) if G is None else G
+    counts = _orbital_counts(G)
+    transitive = G.order > 1 and len(G._transversals[0]) == G.degree
+    oracle = orbital_counts(G)
+    rng = random.Random(name)
+    xs = [_random_element(G, rng) for _ in range(8)]
+    for x in xs:
+        assert counts(x) == counts(conjugate(x, _random_element(G, rng)))
+        same_type = [y for y in xs if cycle_lengths(y) == cycle_lengths(x)]
+        for y in orbit_walk_conjugates(G, x, same_type):
+            assert counts(y) == counts(x)
+        for y in xs:
+            assert (counts(x) == counts(y)) == (oracle(x) == oracle(y) or not transitive)
+    if not transitive:
+        assert {counts(x) for x in xs} == {()}
+
+
+def test_orbital_counts_refute_before_search(monkeypatch, pipelines):
+    """PSp4_3 acts with rank 3 on 27 points: its orbital counts refute 12
+    of the 16 pairs of its S-class representatives that searches refuted
+    without them, so fusion runs at most 14 conjugacy searches (26
+    before), with the oracle's labels."""
+    G, _, T, _, _, _ = pipelines.run("PSp4_3")
+    reps = [c.representative for c in T.classes]
+    real = permcore._walk
+    searches = []
+    monkeypatch.setattr(permcore, "_walk", lambda *args: searches.append(1) or real(*args))
+    assert _blocks(fuse_by_conjugacy(G, reps)) == _blocks(_oracle_labels(G, reps))
+    assert len(searches) <= 14

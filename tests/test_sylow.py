@@ -6,7 +6,7 @@ check raises that `-O` cannot strip.
 """
 
 import random
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -17,10 +17,10 @@ from fmrep.catalog import CATALOG, load_group
 from fmrep.permcore import (
     CapExceeded,
     CertificateError,
-    PermGroup,
     _lex_chain,
     _lex_first,
     _p_order,
+    _p_order_guess,
     conjugate,
     group_from_generators,
     identity,
@@ -139,21 +139,20 @@ LEX_CHECKED = WALKED + [(name, None) for name in CATALOG if name not in dict(WAL
 @pytest.mark.parametrize("name,G", LEX_CHECKED, ids=[n for n, _ in LEX_CHECKED])
 def test_lex_chain_has_lex_base(name, G):
     """Every PermGroup chain is lex, on G (the catalog groups beyond
-    WALKED, stretch tier too, are loaded here), on G built again through
-    PermGroup._of_order, and both ways on G under two random renamings:
-    the base increases, each strong generator at level l fixes every
-    point before base[l], some one moves base[l], and the transversal
-    sizes multiply to |G|.  _lex_chain reads the chain: the level-l
-    transversal element keyed pt maps base[l] to pt and fixes every
-    point before base[l]."""
+    WALKED, stretch tier too, are loaded here) and on G under two random
+    renamings: the base increases, each strong generator at level l
+    fixes every point before base[l], some one moves base[l], and the
+    transversal sizes multiply to |G|.  _lex_chain reads the chain: the
+    level-l transversal element keyed pt maps base[l] to pt and fixes
+    every point before base[l].  (The chains read off G's chain are
+    checked against these in test_permcore.)"""
     G = load_group(name) if G is None else G
     rng = random.Random(name)
-    builds = [G, PermGroup._of_order(G.generators, G.degree, G.order)]
+    builds = [G]
     for _ in range(2):
         sigma = list(range(G.degree))
         rng.shuffle(sigma)
-        gens = [conjugate(g, tuple(sigma)) for g in G.generators]
-        builds += [PermGroup(gens, G.degree), PermGroup._of_order(gens, G.degree, G.order)]
+        builds.append(group_from_generators([conjugate(g, tuple(sigma)) for g in G.generators], G.degree))
     ident = identity(G.degree)
     for H in builds:
         assert H.base == sorted(set(H.base))
@@ -192,12 +191,28 @@ def test_groups_fixing_first_points_every_prime(name, G):
         assert_same_as_oracle(G, p)
 
 
+@pytest.mark.parametrize("name,G", CATALOG_GROUPS, ids=[n for n, _ in CATALOG_GROUPS])
+def test_guess_is_the_sylow_exponent(name, G):
+    """The guessed largest p-element order is the exponent of the Sylow
+    subgroup on every fast and table catalog entry, so none restarts."""
+    p = CATALOG[name].prime
+    S = full_scan_sylow(G, p) if G.order <= 2 * 10**4 else sylow_subgroup(G, p)
+    exponent = max(perm_order(x) for x in S.elements())
+    assert _p_order_guess(G, p, p_limit(G, p)) == exponent
+
+
 def test_restart_when_exponent_exceeds_guess(monkeypatch):
-    # the generators of A6 have orders 3 and 5, so the guessed maximal
-    # 2-order is 2; the Sylow subgroup grown from there has exponent 4,
-    # and the search restarts from the lex-least element of order 4
+    # guessed from the generators alone, as the random draws would find
+    # order 4: the generators of A6 have orders 3 and 5, so the guessed
+    # maximal 2-order is 2; the Sylow subgroup grown from there has
+    # exponent 4, and the search restarts from the lex-least element of
+    # order 4
     G = load_group("A6")
     assert [perm_order(g) % 2 for g in G.generators] == [1, 1]
+    monkeypatch.setattr(
+        permcore, "_p_order_guess",
+        lambda G, p, limit: max(p, *(gcd(perm_order(g), limit) for g in G.generators)),
+    )
     starts = []
     real = permcore.group_from_generators
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import fmrep
+from fmrep.catalog import CATALOG
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,3 +45,15 @@ def test_table_sweep_digests(k):
     assert sweep.rows_digest(T.chars) == table_pin
     L = sweep.rep_lattice(sweep.fusion_from_partition(sweep.order_partition(T), T), T)
     assert sweep.rows_digest(L.basis) == lattice_pin
+
+
+def test_permcore_sweep_digests():
+    """tools/permcore_sweep.py's pinned digests of S's generators and of
+    the fusion labels hold on the fast catalog entries."""
+    fast = [name for name, entry in CATALOG.items() if entry.tier == "fast"]
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "permcore_sweep.py"), "--repeat", "1", *fast],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert [line.split()[0] for line in proc.stdout.splitlines() if line.endswith(" ok")] == fast
