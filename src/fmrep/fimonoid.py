@@ -281,10 +281,6 @@ def half_factoriality(atoms, relations):
     return False, _witness_from_relation(relation, atoms)
 
 
-def is_transitive(pattern: FusionPattern) -> bool:
-    return pattern.class_count == 2
-
-
 def check_regular_conjecture(atoms, table: CharacterTable) -> bool:
     """Every atom a subrepresentation of the regular representation."""
     degrees = table.degrees
@@ -307,5 +303,5 @@ def analyze(lattice: RepLattice, table: CharacterTable, pattern: FusionPattern) 
         factorization_witness=fact_wit,
         length_witness=half_wit,
         regular_conjecture_holds=check_regular_conjecture(atoms, table),
-        transitive=is_transitive(pattern),
+        transitive=pattern.class_count == 2,
     )

@@ -97,30 +97,6 @@ def perm_order(p):
     return lcm(*map(len, cycles(p)))
 
 
-def _p_order(x, prime, limit, ident):
-    """Order of x if x is a prime-element of order at most limit (a power
-    of prime), else 0; the identity has order 1.
-
-    The cycle of point 0 comes first: a length that does not divide
-    limit rules x out at once.  Then one run of repeated prime-th powers,
-    each by prime - 1 applications of one itemgetter, decides.
-    """
-    n, j = 1, x[0]
-    while j:
-        j, n = x[j], n + 1
-    if limit % n:
-        return 0
-    order = 1
-    while x != ident:
-        if order == limit:
-            return 0
-        f = _left(x)
-        for _ in range(prime - 1):
-            x = f(x)
-        order *= prime
-    return order
-
-
 _CYCLE_RE = re.compile(r"\(\s*([0-9]+(?:\s*[, ]\s*[0-9]+)*)?\s*\)")
 
 
@@ -177,7 +153,7 @@ class PermGroup:
     read this chain as it is (_lex_chain).  Instances are immutable.
     """
 
-    __slots__ = ("degree", "generators", "base", "_transversals", "_inverses", "_strong", "order")
+    __slots__ = ("degree", "generators", "base", "_transversals", "_strong", "order")
 
     def __init__(self, generators, degree):
         for g in generators:
@@ -187,7 +163,6 @@ class PermGroup:
         self.generators = tuple(tuple(g) for g in generators)
         self.base = []
         self._transversals = []
-        self._inverses = []  # per level, point -> inverse of its transversal element
         self._strong = []
         self._build()
         self.order = prod(map(len, self._transversals))
@@ -196,6 +171,8 @@ class PermGroup:
     #
     # _strong[i] holds the strong generators fixing base[:i]; the sets are
     # cumulative (a generator fixing base[:j] appears in levels 0..j).
+    # _transversals[i] maps each point of the orbit of base[i] to an element
+    # taking base[i] there; no inverse is kept, as _sift runs on x^-1.
     # Levels are verified bottom-up: verifying level i assumes all deeper
     # levels already satisfy the Schreier condition, so sifting through
     # them is a correct membership test.
@@ -233,58 +210,62 @@ class PermGroup:
     def _install(self, s, start):
         """Join s to the strong generators of levels start..j, where base[j]
         is its least moved point (a new level when that point was no base
-        point), and grow each orbit and transversal in place: s moves the
-        points already in the orbit, every generator the new ones.
-        Returns j."""
+        point), and grow each orbit and transversal in place, the element of
+        g(pt) being trans[pt] * g: s moves the points already in the orbit,
+        every generator the new ones.  Returns j."""
         m = next(p for p, q in enumerate(s) if p != q)
         j = bisect_left(self.base, m)
         if self.base[j:j + 1] != [m]:
             self._strong.insert(j, list(self._strong[j]) if j < len(self._strong) else [])
             self.base.insert(j, m)
             self._transversals.insert(j, {m: identity(self.degree)})  # the copied generators fix m
-            self._inverses.insert(j, {m: identity(self.degree)})
-        moves = [(s, _left(inverse(s)))]
         for l in range(start, j + 1):
             self._strong[l].append(s)
-            trans, invs = self._transversals[l], self._inverses[l]
+            trans = self._transversals[l]
             queue = list(trans)
-            old, gens = len(queue), moves
+            old, gens = len(queue), [s]
             for k, pt in enumerate(queue):
                 if k == old:
-                    gens = [(g, _left(inverse(g))) for g in self._strong[l]]
-                for g, g_inv in gens:
+                    gens = self._strong[l]
+                for g in gens:
                     if g[pt] not in trans:
-                        trans[g[pt]], invs[g[pt]] = mul(trans[pt], g), g_inv(invs[pt])
+                        trans[g[pt]] = mul(trans[pt], g)
                         queue.append(g[pt])
         return j
 
     def _verify_level(self, i):
-        """Sift every Schreier generator of level i through deeper levels;
-        install the first nontrivial residue at levels i+1.. and return
-        _install's j, the level to re-verify from, or None when the level
-        passes."""
-        trans, invs = self._transversals[i], self._inverses[i]
+        """Sift every Schreier generator h = u * s * v^-1 of level i (u, v
+        the elements of pt and s(pt)) through deeper levels, as _sift takes
+        it: h^-1 = v * (u * s)^-1.  u * s == v is a tree edge (h is the
+        identity) and is skipped.  Install the first nontrivial residue at
+        levels i+1.. and return _install's j, the level to re-verify from,
+        or None when the level passes."""
+        trans = self._transversals[i]
         for pt in sorted(trans):
             u = trans[pt]
             for s in self._strong[i]:
-                residue = self._sift(mul(mul(u, s), invs[s[pt]]), i + 1)
+                us, v = mul(u, s), trans[s[pt]]
+                if us == v:
+                    continue
+                residue = self._sift(mul(v, inverse(us)), i + 1)
                 if residue is not None:
                     return self._install(residue, i + 1)
         return None
 
-    def _sift(self, x, start=0):
-        """The residue of sifting x through levels >= start, or None when
-        x sifts to the identity."""
-        ident = identity(self.degree)
-        level = start
-        while x != ident:
+    def _sift(self, z, start=0):
+        """Sift z^-1 through levels >= start: at base point b, with u the
+        element of pt = z^-1(b), z becomes u * z, which fixes b.  Returns
+        the residue, the inverse of z^-1's, or None when z^-1 (and so z)
+        sifts to the identity."""
+        ident, level = identity(self.degree), start
+        while z != ident:
             if level == len(self.base):
-                return x
-            invs = self._inverses[level]
-            pt = x[self.base[level]]
-            if pt not in invs:
-                return x
-            x = mul(x, invs[pt])
+                return z
+            trans = self._transversals[level]
+            pt = z.index(self.base[level])
+            if pt not in trans:
+                return z
+            z = mul(trans[pt], z)
             level += 1
         return None
 
@@ -293,7 +274,7 @@ class PermGroup:
     def __contains__(self, x):
         if len(x) != self.degree:
             raise ValueError("degree mismatch in membership test")
-        return self._sift(tuple(x)) is None
+        return sorted(x) == list(range(self.degree)) and self._sift(tuple(x)) is None
 
     def __len__(self):
         raise TypeError("use .order (may exceed index range)")
@@ -511,17 +492,14 @@ def sylow_subgroup(G, p):
     limit = p  # a cycle of length p^e needs p^e <= degree
     while limit * p <= G.degree and G.order % (limit * p) == 0:
         limit *= p
-    n, ident = G.degree, identity(G.degree)
-    levels, work = _lex_chain(G), 0
+    n, levels, work = G.degree, _lex_chain(G), 0
     m = _p_order_guess(G, p, limit)
 
-    def keep(x):  # a p-element outside P = <gens> that normalizes P
-        if x in pset or not _p_order(x, p, limit, ident):
-            return False
-        return all(conjugate(s, x) in pset for s in gens)
+    def keep(x):  # outside P = <gens>, normalizing P; _lex_first yields only p-elements
+        return x not in pset and all(conjugate(s, x) in pset for s in gens)
 
     while True:
-        x, work = _lex_first(levels, n, m, lambda x: _p_order(x, p, m, ident) == m, None, work)
+        x, work = _lex_first(levels, n, m, lambda x: True, None, work)  # x has order m
         gens = [x]
         S = group_from_generators(gens, n)
         while S.order < target:
@@ -531,7 +509,7 @@ def sylow_subgroup(G, p):
                 raise CertificateError("Sylow growth stalled; group data inconsistent")
             gens.append(x)
             S = group_from_generators(gens, n)
-        e = max(_p_order(s, p, limit, ident) for s in S.elements())
+        e = max(map(perm_order, S.elements()))
         if e <= m:
             break
         m = e
@@ -673,7 +651,8 @@ def _orbital_counts(G):
     """x -> the sorted orbital labels of the pairs (i, x(i)) for transitive
     G, else (): a G-class invariant, as g in G maps (i, x(i)) to the pair
     (g(i), x^g(g(i))) of the same orbital.  The orbital of (i, j) is the
-    suborbit (orbit of G_0, generated by level 1) of _inverses[0][i][j]."""
+    suborbit (orbit of G_0, generated by level 1) of u^-1(j), where u is
+    the level-0 transversal element mapping 0 to i."""
     n, strong = G.degree, G._strong[1] if len(G.base) > 1 else ()
     if not G.base or len(G._transversals[0]) < n:
         return lambda x: ()
@@ -684,8 +663,8 @@ def _orbital_counts(G):
             if suborbit[b] is None:
                 suborbit[b] = a
                 queue += [s[b] for s in strong]
-    invs = G._inverses[0]
-    return lambda x: sorted(suborbit[invs[i][x[i]]] for i in range(n))
+    trans = G._transversals[0]
+    return lambda x: sorted(suborbit[trans[i].index(x[i])] for i in range(n))
 
 
 def fuse_by_conjugacy(G, reps):

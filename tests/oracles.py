@@ -17,6 +17,9 @@ each, keeping the nonzero ones.
 The factorization oracle enumerates, by exhaustive search, every way of
 writing a monoid element as a sum of atoms.
 
+The group oracle is the closure of the generators under multiplication,
+with no stabilizer chain.
+
 The Sylow oracle is the lex-ordered growth of fmrep.permcore run on all
 of G, with p-elements recognized from cycle types: no descent and no
 power-based order test.
@@ -368,6 +371,24 @@ def monoid_elements_up_to_dimension(atoms, degrees, max_dim):
 
     rec(tuple([0] * len(degrees)), 0, 0)
     return sorted(seen)
+
+
+def closure(gens, degree):
+    """Every element of the group that gens generate, as a set: the
+    identity multiplied on the right by generators until nothing new
+    appears."""
+    elems = {identity(degree)}
+    frontier = list(elems)
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = mul(x, g)
+                if y not in elems:
+                    elems.add(y)
+                    new.append(y)
+        frontier = new
+    return elems
 
 
 def is_p_element(p, prime):

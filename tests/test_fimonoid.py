@@ -13,7 +13,6 @@ from fmrep.fimonoid import (
     extreme_rays,
     factoriality,
     half_factoriality,
-    is_transitive,
     check_regular_conjecture,
     _parallelepiped_points,
     _triangulate_cone,
@@ -549,8 +548,8 @@ def test_convex_basis_examples(pipelines):
 
 
 def test_transitivity_flag(pipelines):
-    assert is_transitive(pipelines.run("S3")[3])
-    assert not is_transitive(pipelines.run("S4")[3])
+    assert pipelines.run("S3")[5].transitive
+    assert not pipelines.run("S4")[5].transitive
 
 
 def test_transitive_partition_atoms(pipelines):

@@ -37,7 +37,7 @@ from fmrep.permcore import (
 )
 
 from .groups_zoo import all_groups_up_to_16, groups_fixing_first_points
-from .oracles import orbit_walk_conjugates, orbital_counts, schreier_sims_chain
+from .oracles import closure, orbit_walk_conjugates, orbital_counts, schreier_sims_chain
 
 NON_STRETCH = [n for n, e in CATALOG.items() if e.tier != "stretch"]
 
@@ -114,20 +114,34 @@ def test_empty_generators_trivial_group():
 def test_m10_order_and_exhaustive_enumeration():
     G = load_group("M10")
     assert G.order == 720
-    # independent count: closure of the generators by multiplication
-    elems = {identity(G.degree)}
-    frontier = list(elems)
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in G.generators:
-                y = mul(x, g)
-                if y not in elems:
-                    elems.add(y)
-                    new.append(y)
-        frontier = new
+    elems = closure(G.generators, G.degree)
     assert len(elems) == 720
     assert sorted(elems) == sorted(G.elements())
+
+
+def _perm(data, n, label):
+    return tuple(data.draw(st.permutations(range(n)), label=label))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_chain_matches_closure(data):
+    """Order, elements and membership of a chain built from random
+    generators of degree <= 7 agree with the closure by multiplication."""
+    n = data.draw(st.integers(1, 7), label="degree")
+    gens = [_perm(data, n, "generator") for _ in range(data.draw(st.integers(0, 3), label="count"))]
+    G, elems = group_from_generators(gens, n), closure(gens, n)
+    assert G.order == len(elems)
+    assert sorted(G.elements()) == sorted(elems)
+    for _ in range(5):
+        x = _perm(data, n, "x")
+        assert (x in G) == (x in elems)
+
+
+def test_membership_rejects_non_permutations():
+    s4 = S(4)
+    for x in [(0, 0, 2, 3), (3, 3, 3, 3), (1, 0, 3, 3), (1, 2, 0, 0)]:
+        assert x not in s4
 
 
 def test_membership():

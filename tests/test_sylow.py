@@ -9,8 +9,6 @@ import random
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fmrep import permcore
 from fmrep.catalog import CATALOG, load_group
@@ -19,7 +17,6 @@ from fmrep.permcore import (
     CertificateError,
     _lex_chain,
     _lex_first,
-    _p_order,
     _p_order_guess,
     conjugate,
     group_from_generators,
@@ -285,19 +282,3 @@ def test_mul_matches_definition():
         assert conjugate(p, q) == tuple(
             q[p[inverse(q)[j]]] for j in range(n)
         )
-
-
-GROUPS = [(name, G) for name, G in ZOO if G.order > 1] + CATALOG_GROUPS
-
-
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_p_order_matches_cycle_type(data):
-    name, G = data.draw(st.sampled_from(GROUPS), label="group")
-    word = data.draw(st.lists(st.sampled_from(G.generators), max_size=40), label="word")
-    x = identity(G.degree)
-    for g in word:
-        x = mul(x, g)
-    for p in primes_dividing(G.order):
-        expected = perm_order(x) if is_p_element(x, p) else 0
-        assert _p_order(x, p, p_limit(G, p), identity(G.degree)) == expected

@@ -49,11 +49,11 @@ def test_table_sweep_digests(k):
 
 def test_permcore_sweep_digests():
     """tools/permcore_sweep.py's pinned digests of S's generators and of
-    the fusion labels hold on the fast catalog entries."""
-    fast = [name for name, entry in CATALOG.items() if entry.tier == "fast"]
+    the fusion labels hold on every fast and table catalog entry."""
+    names = [name for name, entry in CATALOG.items() if entry.tier in ("fast", "table")]
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "permcore_sweep.py"), "--repeat", "1", *fast],
+        [sys.executable, str(ROOT / "tools" / "permcore_sweep.py"), "--repeat", "1", *names],
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
-    assert [line.split()[0] for line in proc.stdout.splitlines() if line.endswith(" ok")] == fast
+    assert [line.split()[0] for line in proc.stdout.splitlines() if line.endswith(" ok")] == names
