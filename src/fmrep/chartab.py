@@ -2,9 +2,10 @@
 
 The table is computed by Dixon's method: the class-multiplication
 matrices are simultaneously diagonalized over a prime field F_l with
-l = 1 (mod exponent) and l > 2*sqrt(|S|), and the eigenvector data is
-lifted to exact cyclotomic values through discrete logarithms against a
-fixed primitive root.  No numerical linear algebra is involved.
+l = 1 (mod exponent) and l > 2*sqrt(|S|), the central ones in closed
+form from the orbits of Z(S) on the classes, and the eigenvector data
+is lifted to exact cyclotomic values through discrete logarithms
+against a fixed primitive root.  No numerical linear algebra is involved.
 
 Row order is canonical: by degree, then lexicographically on the
 serialized values, so multiplicity vectors are stable across runs.
@@ -30,6 +31,7 @@ from .permcore import (
     inverse,
     is_prime,
     mul,
+    perm_order,
 )
 
 SIZE_CAP = 10**4
@@ -85,9 +87,7 @@ def character_table(S: PermGroup) -> CharacterTable:
         raise CapExceeded(f"class count {k} exceeds table cap {CLASS_COUNT_CAP}")
     reps = [c.representative for c in classes]
     sizes = [c.size for c in classes]
-    exponent = 1
-    for c in classes:
-        exponent = lcm(exponent, c.element_order)
+    exponent = lcm(*(c.element_order for c in classes))
 
     ell = _dixon_prime(exponent, S.order)
     class_elements = _class_elements(lookup, k)
@@ -132,8 +132,6 @@ def character_table(S: PermGroup) -> CharacterTable:
                 # mults[m]: multiplicity of zeta_o^m among the eigenvalues at class j;
                 # chis[0] = chi(1) is the degree
                 mults = [sum(map(operator.mul, chis, f)) % ell for f in fourier[len(chis)]]
-                if max(mults) > chis[0]:
-                    raise CertificateError("eigenvalue multiplicity lift out of range")
                 if sum(mults) != chis[0]:
                     raise CertificateError("eigenvalue multiplicities do not sum to the degree")
                 value = Cyclotomic(len(chis), mults)
@@ -302,20 +300,67 @@ def _split_eigenvectors(class_elements, reps, lookup, ell):
     to a leading 1.
 
     Each eigenspace is kept as basis rows that are the identity at its
-    pivot columns.  A class matrix is built only when the split reaches
-    it, and restricted to every eigenspace of dimension > 1.  A class
-    that `_derive` puts in the algebra generated by the class sums
-    already processed is skipped unbuilt: it is a polynomial in matrices
-    certified to preserve every eigenspace, each acting on each as a
-    scalar, so it could split nothing.  A scalar restriction keeps the
-    whole eigenspace, in the same rows.  Otherwise the eigenvalues are
-    the roots in F_ell of the restriction's characteristic polynomial,
-    and each root's eigenspace is one nullspace; its basis is the
-    identity at the pivots of the nullspace's free columns.
+    pivot columns.  The split starts from the joint eigenspaces of the
+    central classes, in closed form.  A central class {z} that `_derive`
+    does not yet place in the algebra maps class m to sigma(m), the class
+    of z^-1 z_m.  An orbit O of these sigmas, least class c, carries |O|
+    eigenvectors w, w[c] = 1, mu * w[sigma(m)] = w[m]: a new sigma of
+    order o joins O, sigma(O), ..., sigma^(t-1)(O), t least with
+    sigma^t(c) in O, and sets w[sigma^s(m)] = mu^-s w[m] for each mu^o = 1
+    with mu^t = 1 / w[sigma^t(c)].  Certified: sigma permutes, every edge
+    holds, and each O has |O| vectors; their eigenvalue tuples differ, so
+    they span F_ell^O.  Grouped by tuple, they have disjoint supports and
+    are 1 at their orbits' least classes, their pivots.
+
+    Then a class matrix is built only when the split reaches it, and
+    restricted to every eigenspace of dimension > 1.  A class that
+    `_derive` puts in the algebra generated by the class sums already
+    processed is skipped unbuilt: it is a polynomial in matrices certified
+    to preserve every eigenspace, each acting on each as a scalar, so it
+    could split nothing.  A scalar restriction keeps the whole eigenspace,
+    in the same rows.  Otherwise the eigenvalues are the roots in F_ell of
+    the restriction's characteristic polynomial, and each root's
+    eigenspace is one nullspace; its basis is the identity at the pivots
+    of the nullspace's free columns.
     """
     k = len(reps)
-    spaces = [([[int(i == j) for j in range(k)] for i in range(k)], list(range(k)))]
     tables, derived = [], {0}
+    least = list(range(k))  # least class of each class's orbit
+    orbits = {c: ([c], [((), [1])]) for c in range(k)}  # c: (classes, [(mus, w on them)])
+    sigmas = []
+    for idx in range(1, k):
+        if len(class_elements[idx]) != 1 or idx in derived:
+            continue
+        A = _class_matrix(class_elements[idx], reps, lookup)
+        sigma = [j for [(j, _)] in A]
+        if sorted(sigma) != list(range(k)):
+            raise CertificateError(f"central class matrix {idx} is not a permutation")
+        o = perm_order(reps[idx])
+        roots = [mu for mu in range(1, ell) if pow(mu, o, ell) == 1]
+        grown = {}
+        for c, (members, vecs) in orbits.items():
+            if least[c] == c:
+                layers = [members]
+                while least[sigma[layers[-1][0]]] != c:
+                    layers.append([sigma[m] for m in layers[-1]])
+                t, at = len(layers), members.index(sigma[layers[-1][0]])
+                grown[c] = (sum(layers, []), [
+                    (mus + (mu,), [f * x % ell for f in [pow(mu, -s, ell) for s in range(t)] for x in w])
+                    for mus, w in vecs for mu in roots if pow(mu, t, ell) * w[at] % ell == 1])
+                for m in grown[c][0]:
+                    least[m] = c
+        orbits, sigmas = grown, sigmas + [sigma]
+        _derive(tables, derived, idx, A, ell)
+    groups = {}
+    for c, (members, vecs) in orbits.items():
+        if len(vecs) != len(members):
+            raise CertificateError(f"{len(vecs)} central eigenvectors on an orbit of {len(members)} classes")
+        for mus, w in vecs:
+            w = dict(zip(members, w))
+            if any(mu * w.get(sigma[m], 0) % ell != x for sigma, mu in zip(sigmas, mus) for m, x in w.items()):
+                raise CertificateError("a central eigenvector fails an edge equation")
+            groups.setdefault(mus, []).append(([w.get(m, 0) for m in range(k)], c))
+    spaces = [list(zip(*group)) for group in groups.values()]
     for idx in range(1, k):
         if all(len(rows) == 1 for rows, _ in spaces):
             break

@@ -54,8 +54,8 @@ def read_generator_file(path):
     Degree defaults to the largest point mentioned; above DEGREE_CAP it
     raises CapExceeded before any permutation is parsed."""
     try:
-        raw = Path(path).read_text()
-    except OSError as ex:
+        raw = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as ex:
         raise InputError(f"cannot read group file {path}: {ex}")
     degree = None
     gen_lines = []
@@ -65,7 +65,7 @@ def read_generator_file(path):
             continue
         if line.lower().startswith("degree"):
             parts = line.split()
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
                 raise InputError(f"bad degree header: {line!r}")
             degree = int(parts[1])
         else:
@@ -87,8 +87,8 @@ def read_generator_file(path):
 def read_partition_file(path):
     """JSON list of lists of 1-based class indices, e.g. [[1],[2,3]]."""
     try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as ex:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as ex:
         raise InputError(f"cannot read partition file {path}: {ex}")
     if not isinstance(data, list) or not all(
         isinstance(block, list) and all(type(i) is int for i in block)  # bool is an int

@@ -18,7 +18,7 @@ from fmrep.permcore import (
     parse_perm,
 )
 
-from .groups_zoo import all_groups_up_to_16, sylow_products
+from .groups_zoo import all_groups_up_to_16, cyclic_data, direct_data, regular_group, sylow_products
 from .oracles import (
     character_of,
     class_matrices,
@@ -193,6 +193,40 @@ def test_split_gives_common_eigenvectors(name, G):
             assert np.array_equal(w, lam * v % ell), f"not a common eigenvector for {name}"
 
 
+@pytest.mark.parametrize(
+    "name,data",
+    [
+        ("C16", cyclic_data(16)),
+        ("C64", cyclic_data(64)),
+        ("C4xC8", direct_data(cyclic_data(4), cyclic_data(8))),
+    ],
+)
+def test_centre_split_of_abelian_groups(name, data):
+    """On an abelian group every class is central, so the split is all
+    closed form: its generators have orders 2, 4, ..., 64 on C64, and
+    trying every tuple of their roots (2^21 tuples) took 13 s there."""
+    G = regular_group(*data)
+    args = _split_inputs(G)
+    t0 = time.perf_counter()
+    assert chartab._split_eigenvectors(*args) == lambda_scan_eigenvectors(*args)
+    T = character_table(G)
+    assert time.perf_counter() - t0 < 1.0
+    assert T.degrees == (1,) * G.order
+
+
+def test_centre_split_keeps_the_charpoly_small(monkeypatch):
+    """On D8 x C2 x D8 x C2 (k = 100, centre C2^4) the central classes
+    split F_ell^100 into joint eigenspaces of dimension at most 16, so no
+    characteristic polynomial is taken of more than 20 x 20; without the
+    centre first the first one was 100 x 100."""
+    [G] = [G for name, G in sylow_products() if name == "D8xC2xD8xC2"]
+    sizes = []
+    real = chartab._charpoly_mod
+    monkeypatch.setattr(chartab, "_charpoly_mod", lambda M, ell: sizes.append(len(M)) or real(M, ell))
+    assert character_table(G).class_count == 100
+    assert sizes and max(sizes) <= 20
+
+
 def test_against_numeric_oracle_wreath(pipelines):
     S = pipelines.run("S9")[1]
     T = character_table(S)
@@ -255,6 +289,42 @@ def test_table_certificates(monkeypatch, attr, patch, match):
     monkeypatch.setattr(chartab, attr, patch(getattr(chartab, attr)))
     with pytest.raises(CertificateError, match=match):
         character_table(D8)
+
+
+V4 = group_from_generators([parse_perm("(1,2)", 4), parse_perm("(3,4)", 4)])
+
+
+def _central_matrix_after(calls_real, sigma):
+    """A `_class_matrix` patch: the first `calls_real` calls are real,
+    later ones return the permutation sigma of the classes."""
+    real, calls = chartab._class_matrix, []
+
+    def class_matrix(elements, reps, lookup):
+        calls.append(None)
+        if len(calls) <= calls_real:
+            return real(elements, reps, lookup)
+        return [((j, 1),) for j in sigma]
+
+    return class_matrix
+
+
+@pytest.mark.parametrize(
+    "group,calls_real,sigma,match",
+    [
+        # D8's centre has order 2, so a 5-cycle of its classes has only the
+        # eigenvalue 1 among the roots of x^2 - 1: one vector on 5 classes
+        (D8, 0, [1, 2, 3, 4, 0], "1 central eigenvectors on an orbit of 5 classes"),
+        (D8, 0, [0] * 5, "central class matrix 1 is not a permutation"),
+        # a swap of classes 0 and 2 of V4 does not commute with the real
+        # first matrix (0 1)(2 3): the layers it adds overlap
+        (V4, 1, [2, 1, 0, 3], "fails an edge equation"),
+    ],
+    ids=["count", "permutation", "edge"],
+)
+def test_centre_certificates(monkeypatch, group, calls_real, sigma, match):
+    monkeypatch.setattr(chartab, "_class_matrix", _central_matrix_after(calls_real, sigma))
+    with pytest.raises(CertificateError, match=match):
+        character_table(group)
 
 
 def test_trivial_index_certificate():

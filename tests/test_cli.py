@@ -119,6 +119,29 @@ def test_exit_code_degree_cap(tmp_path, capsys, degree):
     assert peak < 10**6
 
 
+@pytest.mark.parametrize("header", ["degree \u00b2", "degree \u00b3", "degree \uff14"])
+def test_exit_code_degree_header_not_ascii(tmp_path, capsys, header):
+    """Superscript digits pass str.isdigit but not int, and once ended
+    in a ValueError traceback; a fullwidth 4 passes both.  Only ASCII
+    digits are a degree."""
+    f = tmp_path / "c2.txt"
+    f.write_text(f"{header}\n(1,2)\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "--group", str(f), "--prime", "2")
+    assert code == EXIT_INPUT
+    assert f"input error: bad degree header: {header!r}" in err
+    assert out == ""
+
+
+def test_exit_code_group_and_partition_file_not_utf8(tmp_path, capsys):
+    """Bytes that are not UTF-8 once ended in a UnicodeDecodeError traceback."""
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe\n(1,2)\n")
+    code, out, err = run_cli(capsys, "run", "--group", str(bad), "--prime", "2")
+    assert (code, out) == (EXIT_INPUT, "") and "cannot read group file" in err
+    code, out, err = run_cli(capsys, "run", "--group", "S4", "--prime", "2", "--partition", str(bad))
+    assert (code, out) == (EXIT_INPUT, "") and "cannot read partition file" in err
+
+
 def test_degree_at_the_cap_is_read(tmp_path):
     f = tmp_path / "c2.txt"
     f.write_text("degree 100000\n(1,2)\n")

@@ -34,10 +34,10 @@ def _load_tool(name):
     return module
 
 
-@pytest.mark.parametrize("k", [51, 153, 289])
+@pytest.mark.parametrize("k", [51, 153, 289, 256])
 def test_table_sweep_digests(k):
     """tools/table_sweep.py's pinned table and lattice digests hold for
-    its k = 51, 153 and 289 products."""
+    its k = 51, 153, 289 and 256 products."""
     sweep = _load_tool("table_sweep")
     [(_, _, factors, table_pin, lattice_pin)] = [p for p in sweep.PRODUCTS if p[1] == k]
     T = sweep.character_table(sweep.direct_product(factors))

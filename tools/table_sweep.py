@@ -2,14 +2,14 @@
 """Time `chartab.character_table` and `repring.rep_lattice` on products
 of Sylow subgroups.
 
-Builds P3(S9) x C3 (k = 51), P3(S9) x C3 x C3 (k = 153) and
-P3(S9) x P3(S9) (k = 289), times the table of each, then the lattice
-of the partition with one block per element order, then that
-lattice's integer kernel alone (best of N runs each).  The table rows,
-the lattice basis and the kernel are checked against pinned SHA-256
-digests, each taken over one line per row with its entries joined by
-", "; the kernel is the lattice basis and shares its digest.  Exits 1
-if any digest differs.
+Builds P3(S9) x C3 (k = 51), P3(S9) x C3 x C3 (k = 153),
+P3(S9) x P3(S9) (k = 289) and C2^8 (k = 256, every class central),
+times the table of each, then the lattice of the partition with one
+block per element order, then that lattice's integer kernel alone
+(best of N runs each).  The table rows, the lattice basis and the
+kernel are checked against pinned SHA-256 digests, each taken over one
+line per row with its entries joined by ", "; the kernel is the
+lattice basis and shares its digest.  Exits 1 if any digest differs.
 
 Usage: python tools/table_sweep.py [--repeat N]
 """
@@ -30,6 +30,7 @@ from fmrep.repring import difference_matrix, rep_lattice
 
 C3WRC3 = ["(1,2,3)", "(1,4,7)(2,5,8)(3,6,9)"]
 C3 = ["(1,2,3)"]
+C2 = ["(1,2)"]
 
 # (name, expected class count, factors as generator words on points 1..d,
 #  table digest, lattice digest)
@@ -43,6 +44,9 @@ PRODUCTS = [
     ("P3(S9)xP3(S9)", 289, [(9, C3WRC3), (9, C3WRC3)],
      "d6c6092f0534f142c96d7fd83deb4146a1fa42b522a8095fdb09c86ab69dfb63",
      "f07ec8b9fbfc66253fe628194a03f82db2eaa40770650360d274cf0644b37f42"),
+    ("C2^8", 256, [(2, C2)] * 8,
+     "3c38eb34e408104126387e075303b3bfdd6d184d3314aa6c26357e950b8b4bd9",
+     "f9e587a87f23fad40db555c0c1fee3bd8b2e43adb9bf976f6933c1eda3f2848d"),
 ]
 
 
