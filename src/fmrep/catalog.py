@@ -8,8 +8,8 @@ reported but never diffed.
 
 Tiers: "fast" entries finish in about a second, "table" covers the
 larger catalog runs, "extra" is for groups meant to be driven through
-the partition input mode, and "stretch" entries are disabled by
-default (their full pipeline is beyond the desk-scale budget).
+the partition input mode, and "stretch" entries are not run by
+`fmrep verify` (each takes seconds, or stops at a cap).
 """
 
 from __future__ import annotations
@@ -76,15 +76,15 @@ CATALOG = {
         ),
         CatalogEntry(
             "PSU3_9", 2, "stretch", Expectation(9, 53, False, None),
-            note="disabled by default; completes in a few seconds",
+            note="not run by verify; completes in a few seconds",
         ),
         CatalogEntry(
             "PSL3_19", 3, "stretch", Expectation(7, 16, False, None),
-            note="disabled by default; completes in a few seconds",
+            note="not run by verify; completes in a few seconds",
         ),
         CatalogEntry(
             "PSL4_7", 3, "stretch", Expectation(None, None, True, None),
-            note="disabled by default: stops at the Sylow cap",
+            note="not run by verify: stops at the Sylow cap",
         ),
     ]
 }

@@ -1,7 +1,7 @@
 """Command-line interface and run orchestration.
 
     fmrep run --group <name|file> --prime <p> [--partition file]
-              [--mode full|fusion|lattice] [--out report.json] [--allow-stretch]
+              [--mode full|fusion|lattice] [--out report.json]
     fmrep verify [--tier fast|table|all]
     fmrep catalog list
 
@@ -98,16 +98,10 @@ def read_partition_file(path):
     return data
 
 
-def resolve_group(source, allow_stretch=False):
+def resolve_group(source):
     """Return (group, name, kind, default_prime) from a catalog name or path."""
     if source in cat.CATALOG:
-        entry = cat.CATALOG[source]
-        if entry.tier == "stretch" and not allow_stretch:
-            raise InputError(
-                f"{source} is a stretch entry, disabled by default ({entry.note}); "
-                "pass --allow-stretch to force it"
-            )
-        return cat.load_group(source), source, "catalog", entry.prime
+        return cat.load_group(source), source, "catalog", cat.CATALOG[source].prime
     if Path(source).exists():
         gens, degree = read_generator_file(source)
         return group_from_generators(gens, degree), Path(source).name, "file", None
@@ -241,7 +235,6 @@ def main(argv=None):
     p_run.add_argument("--partition", help="fusion partition file (group is taken as the Sylow subgroup)")
     p_run.add_argument("--mode", choices=["full", "fusion", "lattice"], default="full")
     p_run.add_argument("--out", help="write the full JSON report here")
-    p_run.add_argument("--allow-stretch", action="store_true")
     p_run.add_argument("--timings", action="store_true", help="append timings to the text output")
 
     p_verify = sub.add_parser("verify", help="check catalog expectations")
@@ -268,7 +261,7 @@ def main(argv=None):
                 print(f"{len(mismatches)} expectation mismatch(es)", file=sys.stderr)
                 return EXIT_MISMATCH
             return EXIT_OK
-        G, name, kind, default_prime = resolve_group(args.group, args.allow_stretch)
+        G, name, kind, default_prime = resolve_group(args.group)
         prime = args.prime if args.prime is not None else default_prime
         if prime is None:
             raise InputError("--prime is required for file-based groups")

@@ -43,7 +43,6 @@ from .permcore import CapExceeded, CertificateError
 from .repring import RepLattice
 
 RANK_CAP = 12
-IRR_CAP = 32
 
 
 @dataclass(frozen=True)
@@ -197,9 +196,9 @@ def atoms_hilbert(lattice: RepLattice, degrees):
     Canonical order: by total dimension (degree-weighted coordinate
     sum), then lexicographically on the multiplicity vector.
     """
-    d, r = lattice.rank, lattice.irr_count
-    if d > RANK_CAP or r > IRR_CAP:
-        raise CapExceeded(f"rank {d} x irreducibles {r} beyond caps ({RANK_CAP}, {IRR_CAP})")
+    d = lattice.rank
+    if d > RANK_CAP:
+        raise CapExceeded(f"rank {d} exceeds cap {RANK_CAP}")
     constraints = list(dict.fromkeys(map(_primitive, zip(*lattice.basis))))  # one per direction
     rays = extreme_rays(constraints, d)
     simplices = _triangulate_cone(rays, constraints, d)

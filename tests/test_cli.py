@@ -1,8 +1,12 @@
 import json
+import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from fmrep import catalog, permcore
 from fmrep.cli import (
@@ -238,12 +242,6 @@ def test_exit_code_huge_prime_not_dividing(monkeypatch, capsys):
     assert "1000000000000000003 does not divide the group order 24" in err
 
 
-def test_exit_code_stretch_guard(capsys):
-    code, _, err = run_cli(capsys, "run", "--group", "PSL4_7")
-    assert code == EXIT_INPUT
-    assert "stretch" in err
-
-
 def test_exit_code_bad_partition(tmp_path, capsys):
     part = tmp_path / "partition.json"
     part.write_text(json.dumps([[1, 2]]))
@@ -382,7 +380,7 @@ def test_stretch_psl4_7_stops_at_the_sylow_cap(capsys):
     element of order 9 far past the cap; the cap, in node-points, stops
     the whole run in about 4.5 s on a 2-core x86-64 VM."""
     start = time.perf_counter()
-    code, _, err = run_cli(capsys, "run", "--group", "PSL4_7", "--allow-stretch")
+    code, _, err = run_cli(capsys, "run", "--group", "PSL4_7")
     assert code == EXIT_CAP
     assert "cap exceeded: sylow: lex walk exceeds cap 50000000 node-points" in err
     assert time.perf_counter() - start < 15.0
@@ -441,3 +439,69 @@ def test_run_analysis_labels_attached():
     assert set(report.irr_names) == {"1", "X", "Y", "XY", "Z"}
     text = report.to_text()
     assert "[" in text  # labeled rendering present
+
+
+@st.composite
+def cycle_lines(draw):
+    """A generator line on points 1..8: disjoint cycles, about one in four
+    broken (a point 0 or 9, a repeated point, a missing bracket, a
+    letter, overlapping cycles, a non-ASCII digit)."""
+    points = draw(st.permutations(range(1, 9)))
+    cuts = sorted(draw(st.sets(st.integers(1, 7), max_size=4)))
+    blocks = [points[a:b] for a, b in zip([0, *cuts], [*cuts, 8])]
+    cycles = [b for b in blocks[: draw(st.integers(1, len(blocks)))] if len(b) > 1]
+    line = "".join("(" + ",".join(map(str, c)) + ")" for c in cycles) or "()"
+    faults = {
+        "0": "(1,0)", "9": "(1,9)", "repeat": "(2,2)", "letter": "(a,b)",
+        "overlap": "(1,2)(2,3)", "superscript": "(1,\u00b2)", "open": "(1,2",
+    }
+    fault = draw(st.sampled_from([None] * 21 + sorted(faults)))
+    return line if fault is None else line + faults[fault]
+
+
+@st.composite
+def group_files(draw):
+    """1-3 generator lines after an optional `degree` header (valid, too
+    small, malformed or above the degree cap), with comments and blank
+    lines between them."""
+    header = draw(st.sampled_from(
+        [None] * 4 + ["degree 8", "degree 12", "degree 3", "degree", "degree x",
+                      "degree 3 4", "DEGREE 9", "degree \u00b3", "degree 1000000"]
+    ))
+    lines = [] if header is None else [header]
+    for _ in range(draw(st.integers(1, 3))):
+        lines += draw(st.sampled_from([[], [], ["# a comment"], [""]])) + [draw(cycle_lines())]
+    return "\n".join(lines) + "\n"
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=12,
+)
+partitions = st.lists(st.lists(st.integers(0, 12), max_size=4), max_size=6) | json_values
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    text=group_files(),
+    prime=st.sampled_from([2, 3] * 3 + [5, 7, None, 0, 1, 4]),
+    partition=st.booleans().flatmap(lambda on: partitions if on else st.none()),
+)
+def test_input_files_end_in_a_documented_exit(text, prime, partition):
+    """Any group file of degree <= 8 (headers, comments, blank lines,
+    malformed cycles) with any JSON partition file ends in exit 0, 2 or
+    3: input errors and caps, never an exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        group = Path(tmp) / "group.txt"
+        group.write_text(text, encoding="utf-8")
+        argv = ["run", "--group", str(group)]
+        if prime is not None:
+            argv += ["--prime", str(prime)]
+        if partition is not None:
+            part = Path(tmp) / "partition.json"
+            part.write_text(json.dumps(partition), encoding="utf-8")
+            argv += ["--partition", str(part)]
+        code = main(argv)
+    event(f"exit {code}")
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_CAP)

@@ -12,7 +12,8 @@ from fmrep.cyclonum import (
     rational_coordinates,
     zeta,
 )
-from fmrep.cyclonum import _powers, _reduce_mod_phi
+from fmrep.cyclonum import _poly_div_exact, _powers, _reduce_mod_phi
+from fmrep.permcore import CertificateError
 
 from .oracles import fraction_descent, galois_trace, polynomial_reduce_mod_phi, to_complex
 
@@ -107,6 +108,25 @@ def test_reduce_mod_phi_matches_polynomial_division():
             for coeffs in (ints, fractions):
                 assert _reduce_mod_phi(coeffs, n) == polynomial_reduce_mod_phi(coeffs, n)
             assert all(type(c) is int for c in _reduce_mod_phi(ints, n))
+
+
+def test_poly_div_exact_certificates():
+    """A divisor that leaves a remainder is caught by either check: a
+    leading coefficient that does not divide (x by 2x + 1), or a nonzero
+    remainder left after the quotient (x + 1 by x)."""
+    assert _poly_div_exact([-1, 0, 1], [-1, 1]) == [1, 1]
+    with pytest.raises(CertificateError, match=r"\[1, 2\] does not divide \[0, 1\] over Z"):
+        _poly_div_exact([0, 1], [1, 2])
+    with pytest.raises(CertificateError, match=r"division by \[0, 1\] leaves remainder \[1, 0\]"):
+        _poly_div_exact([1, 1], [0, 1])
+
+
+def test_lift_certificate():
+    """zeta_3 has no coordinates over zeta_4: a conductor that does not
+    divide the target is refused, not wrapped round."""
+    assert zeta(3, 1)._lift(6) == [-1, 1]  # zeta_6^2 = zeta_6 - 1
+    with pytest.raises(CertificateError, match=r"zeta_3 does not lie in Q\(zeta_4\)"):
+        zeta(3, 1)._lift(4)
 
 
 def test_gauss_period_float_sanity():

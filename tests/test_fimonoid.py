@@ -15,6 +15,7 @@ from fmrep.fimonoid import (
     half_factoriality,
     check_regular_conjecture,
     _parallelepiped_points,
+    _reduce_candidates,
     _triangulate_cone,
 )
 from fmrep.fusion import fusion_from_partition
@@ -225,6 +226,39 @@ def test_factorial_implies_half_factorial_certificate(monkeypatch, pipelines):
         analyze(L, T, F)
 
 
+def test_dependent_simplex_certificate():
+    """Dependent generators have volume 0; the check stops them before
+    any coordinate is taken modulo that volume."""
+    with pytest.raises(CertificateError, match=r"simplex generators \[\(1, 0\), \(2, 0\)\] are dependent"):
+        _parallelepiped_points([(1, 0), (2, 0)])
+
+
+def test_negative_candidate_certificate():
+    """A candidate whose multiplicity vector has a negative entry lies
+    outside the cone: it is no representation, and is not silently
+    dropped by the minimality filter."""
+    lattice = RepLattice(irr_count=2, rank=2, basis=((1, 1), (0, 2)))
+    assert _reduce_candidates({(1, 0), (0, 1), (1, 1)}, lattice, (1, 1)) == [(0, 2), (1, 1)]
+    with pytest.raises(CertificateError, match=r"candidate \(1, -1\) is not a genuine representation"):
+        _reduce_candidates({(1, -1)}, lattice, (1, 1))
+
+
+def test_split_relation_certificate():
+    """A relation with no negative coefficient cannot give two
+    factorizations of one element."""
+    atoms = [(1, 0), (0, 1)]
+    with pytest.raises(CertificateError, match=r"relation \(1, 1\) is not a split relation"):
+        half_factoriality(atoms, [(1, 1)])
+
+
+def test_relation_count_certificate():
+    """More atoms than the rank force a relation among them; an empty
+    relation basis is refused."""
+    lattice = RepLattice(irr_count=2, rank=2, basis=((1, 0), (0, 1)))
+    with pytest.raises(CertificateError, match="3 atoms in rank 2 without a relation"):
+        factoriality([(1, 0), (0, 1), (1, 1)], lattice, [])
+
+
 def test_hilbert_basis_unimodular_lattice_is_free():
     # a unimodular lattice makes the monoid all of N^2
     lattice = RepLattice(irr_count=2, rank=2, basis=((1, 2), (0, 1)))
@@ -371,7 +405,7 @@ def test_rank_cap():
         rank=r,
         basis=tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r)),
     )
-    with pytest.raises(CapExceeded, match="beyond caps"):
+    with pytest.raises(CapExceeded, match="rank 13 exceeds cap 12"):
         atoms_hilbert(lattice, degrees=(1,) * r)
 
 

@@ -30,6 +30,7 @@ from fmrep.cyclonum import prime_divisors
 from fmrep.permcore import CapExceeded, conjugate, group_from_generators
 
 from .groups_zoo import borel, psl2, symmetric_group
+from .oracles import factorization_lengths
 
 # fields that name or size the ambient group, not its fusion system
 AMBIENT = ("group", "source", "degree", "group_order")
@@ -89,6 +90,7 @@ def small_permutation_groups(draw):
 @settings(max_examples=40, deadline=None)
 @given(G=small_permutation_groups())
 @example(G=symmetric_group(10))  # at p = 5, |S| = 25
+@example(G=symmetric_group(14))  # at p = 7, |S| = 49 with k = 49 irreducibles
 @example(G=borel(3, 3, "full"))  # |S| = 3^3, lattice rank 5
 @example(G=borel(3, 3, "one"))  # rank 7
 @example(G=borel(3, 5, "full"))  # |S| = 5^3, rank 5
@@ -108,6 +110,33 @@ def test_sylow_of_order_at_most_p_cubed_is_factorial(G):
         event(f"checked at p = {p}")
         assert report.factorial, (G.generators, p)
         assert len(report.atoms) == report.lattice_rank, (G.generators, p)
+
+
+@pytest.mark.parametrize(
+    "make,p,order,k",
+    [(lambda: borel(3, 7, "full"), 7, 7**3, 55), (lambda: psl2(37), 37, 37, 37)],
+    ids=["B3(7)-full", "PSL2(37)"],
+)
+def test_theorem_cases_with_many_irreducibles(make, p, order, k):
+    """|S| <= p^3 with more irreducibles than the atom stage once
+    admitted: the monoid is factorial, its atoms as many as the rank."""
+    report = run_analysis(make(), p, name="G", source="file")
+    assert (report.sylow_order, report.sylow_class_count) == (order, k)
+    assert report.factorial and report.half_factorial
+    assert len(report.atoms) == report.lattice_rank
+
+
+def test_symmetric_12_at_3_is_not_half_factorial():
+    """S12 at p = 3 (|S| = 243, 51 irreducibles): its length witness
+    has sides of lengths 3 and 2, and a brute-force factorization of the
+    witness element finds both lengths."""
+    report = run_analysis(symmetric_group(12), 3, name="S12", source="file")
+    assert (report.sylow_class_count, report.lattice_rank, len(report.atoms)) == (51, 7, 13)
+    assert (report.factorial, report.half_factorial) == (False, False)
+    w = report.length_witness
+    assert sorted(map(len, (w["decomp_a"], w["decomp_b"]))) == [2, 3]
+    atoms = [tuple(a) for a in report.atoms]
+    assert {2, 3} <= factorization_lengths(tuple(w["element"]), atoms)
 
 
 @pytest.mark.parametrize("name", [n for n, e in CATALOG.items() if e.tier == "fast"])
