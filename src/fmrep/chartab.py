@@ -123,7 +123,9 @@ def character_table(S: PermGroup) -> CharacterTable:
         v = [x * inv_v0 % ell for x in v]
         s = sum(v[j] * v[inv_class[j]] * inv_sizes[j] for j in range(k)) % ell
         rhs = S.order * pow(s, ell - 2, ell) % ell
-        degree = next(d for d in range(1, isqrt(S.order) + 1) if d * d % ell == rhs)
+        degree = next((d for d in range(1, isqrt(S.order) + 1) if d * d % ell == rhs), None)
+        if degree is None:
+            raise CertificateError(f"no degree d <= sqrt(|S|) has d^2 = {rhs} mod {ell}")
         chi_mod = [degree * v[j] * inv_sizes[j] % ell for j in range(k)]
         row = []
         for j in range(k):

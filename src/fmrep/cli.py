@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from math import isqrt
 from pathlib import Path
 
 from . import catalog as cat
@@ -266,9 +267,12 @@ def main(argv=None):
         if prime is None:
             raise InputError("--prime is required for file-based groups")
         # before the primality test, whose trial division of a huge prime takes
-        # minutes; with --partition, the trivial group is a p-group for every p
+        # minutes; with --partition, the trivial group is a p-group for every p,
+        # and only it gets past here with a prime above the degree
         if prime > 1 and G.order % prime and (not args.partition or G.order > 1):
             raise InputError(f"{prime} does not divide the group order {G.order}")
+        if prime > 1 and isqrt(prime) > DEGREE_CAP:
+            raise CapExceeded(f"prime {prime}: trial division exceeds cap {DEGREE_CAP} steps")
         if not is_prime(prime):
             raise InputError(f"{prime} is not prime")
         partition = read_partition_file(args.partition) if args.partition else None

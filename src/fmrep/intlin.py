@@ -1,29 +1,30 @@
-"""Exact integer linear algebra: one forward echelon that serves the
-row Hermite normal form (HNF), integer kernels and integer solvability,
-and one fraction-free (Bareiss) Gauss-Jordan loop for pivot columns,
-rank, determinant and adjugate.  Every elimination stays in Z.
+"""Exact integer linear algebra: one forward echelon serves the row
+Hermite normal form (HNF), integer kernels, integer solvability, pivot
+columns, rank, determinant and adjugate.  Every elimination stays in Z.
 
 Matrices are lists of lists of Python ints (arbitrary precision), never
 mutated by these functions.  Lattices are always handed around as
 canonical HNF bases so that lattice equality is matrix equality.
 
 HNF convention (row-style): pivots are positive, entries above a pivot
-are reduced into [0, pivot), zero rows sit at the bottom.  The kernel
-and the solver read a forward echelon of [A | I], whose right block
-does the transform's work; a row operation walks only the nonzero
-entries of the row it subtracts."""
+are reduced into [0, pivot), zero rows sit at the bottom.  The kernel,
+the solver and the adjugate read a forward echelon of [A | I], whose
+right block does the transform's work; a row operation walks only the
+nonzero entries of the row it subtracts."""
 
 from __future__ import annotations
+
+from math import prod
 
 
 def _echelon(H, n):
     """Reduce H in place to a row echelon form on its first n columns and
-    return the pivot columns; rows below them are zero there.  Each
-    column's pivot is its entry of least absolute value, which keeps
-    intermediate growth moderate.  Forward only: nothing above a pivot
-    is touched."""
+    return (pivots, sign): the pivot columns, below which the rows are
+    zero there, and the sign of the row permutation used.  Each column's
+    pivot is its entry of least absolute value, which keeps intermediate
+    growth moderate.  Forward only: nothing above a pivot is touched."""
     m = len(H)
-    pivots = []
+    pivots, sign = [], 1
     for c in range(n):
         r = len(pivots)
         while True:
@@ -31,7 +32,9 @@ def _echelon(H, n):
             if not rows:
                 break
             piv = min(rows, key=lambda i: (abs(H[i][c]), i))
-            H[r], H[piv] = H[piv], H[r]
+            if piv != r:
+                H[r], H[piv] = H[piv], H[r]
+                sign = -sign
             if len(rows) == 1:
                 pivots.append(c)
                 break
@@ -39,7 +42,7 @@ def _echelon(H, n):
             for i in rows:
                 if i != r and H[i][c]:  # |H[i][c]| >= |p|, so the quotient is nonzero
                     _row_sub(H[i], support, H[i][c] // p)
-    return pivots
+    return pivots, sign
 
 
 def _support(row):
@@ -58,7 +61,7 @@ def hermite_normal_form(A):
     echelon, then each pivot made positive and the entries above it
     reduced, column by column."""
     H = [list(row) for row in A]
-    for r, c in enumerate(_echelon(H, len(H[0]) if H else 0)):
+    for r, c in enumerate(_echelon(H, len(H[0]) if H else 0)[0]):
         if H[r][c] < 0:
             H[r] = [-x for x in H[r]]
         support = _support(H[r])
@@ -71,7 +74,7 @@ def hermite_normal_form(A):
 
 def _with_identity(A):
     """[A | I]: row operations on it keep u * A = h in each row (h | u)."""
-    return [list(row) + [int(i == j) for j in range(len(A))] for i, row in enumerate(A)]
+    return [list(row) + [0] * i + [1] + [0] * (len(A) - 1 - i) for i, row in enumerate(A)]
 
 
 def integer_kernel(A):
@@ -81,7 +84,7 @@ def integer_kernel(A):
     never back-reduced."""
     n = len(A[0]) if A else 0
     H = _with_identity(A)
-    rank = len(_echelon(H, n))
+    rank = len(_echelon(H, n)[0])
     return hermite_normal_form([row[n:] for row in H[rank:]])
 
 
@@ -124,43 +127,10 @@ def _reduce(rows, residual, n):
     return True
 
 
-def _bareiss(M):
-    """Fraction-free (Bareiss) Gauss-Jordan elimination of M, in place.
-
-    Returns (pivots, sign, pivot): the pivot columns, the sign of the
-    row permutation used and the last pivot, which is the determinant
-    of the row-permuted leading rank x rank minor on the pivot columns.
-    Every division is exact by Sylvester's identity (Bareiss, Math.
-    Comp. 22, 1968).
-    """
-    m = len(M)
-    n = len(M[0]) if m else 0
-    pivots, sign, prev = [], 1, 1
-    for c in range(n):
-        r = len(pivots)
-        piv = next((i for i in range(r, m) if M[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            M[r], M[piv] = M[piv], M[r]
-            sign = -sign
-        top = M[r]
-        p = top[c]
-        for i in range(m):
-            f = M[i][c]
-            if i != r and (f or p != prev):  # else the update leaves the row as it is
-                M[i] = [(p * x - f * y) // prev for x, y in zip(M[i], top)]
-        pivots.append(c)
-        prev = p
-        if r + 1 == m:
-            break
-    return pivots, sign, prev
-
-
 def pivot_columns(A):
     """The first independent columns of A, in order: each is the first
     column outside the span of the ones before it."""
-    return _bareiss([list(row) for row in A])[0]
+    return _echelon([list(row) for row in A], len(A[0]) if A else 0)[0]
 
 
 def rank(A):
@@ -169,21 +139,36 @@ def rank(A):
 
 
 def det(A):
-    """Determinant of a square integer matrix."""
-    pivots, sign, pivot = _bareiss([list(row) for row in A])
-    return sign * pivot if len(pivots) == len(A) else 0
+    """Determinant of a square integer matrix: the sign of the echelon's
+    row permutation times its diagonal, which holds a zero when A is
+    singular.  The pipeline does not call it; it stays because
+    perfbench/bench_trace.py wraps it by name and the tests use it."""
+    H = [list(row) for row in A]
+    sign = _echelon(H, len(H))[1]
+    return sign * prod(H[i][i] for i in range(len(H)))
 
 
 def adjugate(A):
     """(d, adj) with d = det A and adj * A = A * adj = d * I.
 
-    Fraction-free Gauss-Jordan on [A | I] ends at [e * I | E] with
-    E * A = e * I, where e = +-d by the parity of the row swaps, so +-E
-    is the adjugate.  A singular A gives d = 0 and the zero matrix.
+    The echelon of [A | I] is [H | U] with U * A = H upper triangular
+    and det U the sign of its row permutation, so d is that sign times
+    H's diagonal.  A singular A gives d = 0 and the zero matrix; else
+    adj = d * A^-1 solves H * adj = d * U, which back substitution reads
+    off row by row, each division exact since adj is integral.
     """
     n = len(A)
     M = _with_identity(A)
-    pivots, sign, pivot = _bareiss(M)
-    if pivots != list(range(n)):
+    d = _echelon(M, n)[1] * prod(M[i][i] for i in range(n))
+    if not d:
         return 0, [[0] * n for _ in range(n)]
-    return sign * pivot, [[sign * x for x in row[n:]] for row in M]
+    adj, supports = [None] * n, [None] * n
+    for j in reversed(range(n)):
+        h = M[j]
+        row = [d * u for u in h[n:]]
+        for k in range(j + 1, n):
+            if h[k]:
+                _row_sub(row, supports[k], h[k])
+        adj[j] = row if h[j] == 1 else [x // h[j] for x in row]
+        supports[j] = _support(adj[j])
+    return d, adj

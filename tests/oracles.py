@@ -67,10 +67,9 @@ face is a tight set of the face's rank minus one, ranks by the forward
 elimination below.
 
 The integer linear-algebra oracles are the eliminations fmrep.intlin
-used before it kept one HNF and one Gauss-Jordan loop: the HNF that
-carries its transform U, the kernel read from U and put into HNF a
-second time, and the forward Bareiss elimination that gave rank and
-determinant.
+used before it kept one forward echelon: the HNF that carries its
+transform U, the kernel read from U and put into HNF a second time, and
+the forward Bareiss elimination that gave rank and determinant.
 
 The basis criteria of the paper decide from one lattice basis of
 nonnegative representations: private constituents or disjoint supports

@@ -208,9 +208,10 @@ def test_centre_split_of_abelian_groups(name, data):
     G = regular_group(*data)
     args = _split_inputs(G)
     t0 = time.perf_counter()
-    assert chartab._split_eigenvectors(*args) == lambda_scan_eigenvectors(*args)
+    omegas = chartab._split_eigenvectors(*args)
     T = character_table(G)
     assert time.perf_counter() - t0 < 1.0
+    assert omegas == lambda_scan_eigenvectors(*args)
     assert T.degrees == (1,) * G.order
 
 
@@ -272,6 +273,18 @@ def _shift_after_first(real):
     return class_matrix
 
 
+def _raise_one_entry(real):
+    """Entry 1 of common eigenvector 1 raised by 1 mod ell: on D8 (ell = 5)
+    its squared degree is 3 mod 5, which no d <= sqrt(8) has."""
+
+    def split(class_elements, reps, lookup, ell):
+        vectors = [list(v) for v in real(class_elements, reps, lookup, ell)]
+        vectors[1][1] = (vectors[1][1] + 1) % ell
+        return vectors
+
+    return split
+
+
 @pytest.mark.parametrize(
     "attr,patch,match",
     [
@@ -281,9 +294,10 @@ def _shift_after_first(real):
         ("_class_matrix", lambda real: _identity_matrices, "do not split"),
         ("_split_eigenvectors", lambda real: lambda *a: real(*a)[1:], "found 4 common eigenvectors"),
         ("_split_eigenvectors", lambda real: lambda *a: [real(*a)[0]] * 5, "squared degrees"),
+        ("_split_eigenvectors", _raise_one_entry, "no degree d <= sqrt"),
         ("Cyclotomic", lambda real: lambda o, m: real(o, [x + (o == 1) for x in m]), "lifted degree"),
     ],
-    ids=["eigenspace", "split", "count", "degrees", "degree"],
+    ids=["eigenspace", "split", "count", "degrees", "degree-root", "degree"],
 )
 def test_table_certificates(monkeypatch, attr, patch, match):
     monkeypatch.setattr(chartab, attr, patch(getattr(chartab, attr)))

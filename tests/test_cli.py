@@ -242,6 +242,29 @@ def test_exit_code_huge_prime_not_dividing(monkeypatch, capsys):
     assert "1000000000000000003 does not divide the group order 24" in err
 
 
+def test_exit_code_huge_prime_on_the_trivial_group(tmp_path, monkeypatch, capsys):
+    """With --partition the trivial group is a p-group for every p, so a
+    huge prime reaches the primality test; its trial division would take
+    more than DEGREE_CAP steps, and the run stops at that cap first."""
+    import fmrep.cli
+
+    def no_trial_division(n):
+        raise AssertionError(f"is_prime({n}) called")
+
+    group, part = tmp_path / "trivial.txt", tmp_path / "partition.json"
+    group.write_text("degree 3\n()\n")
+    part.write_text("[[1]]")
+    monkeypatch.setattr(fmrep.cli, "is_prime", no_trial_division)
+    code, _, err = run_cli(
+        capsys, "run", "--group", str(group), "--prime", "1000000000000000003", "--partition", str(part)
+    )
+    assert code == EXIT_CAP
+    assert "trial division exceeds cap 100000 steps" in err
+    monkeypatch.undo()
+    code, _, _ = run_cli(capsys, "run", "--group", str(group), "--prime", "1000003", "--partition", str(part))
+    assert code == EXIT_OK
+
+
 def test_exit_code_bad_partition(tmp_path, capsys):
     part = tmp_path / "partition.json"
     part.write_text(json.dumps([[1, 2]]))

@@ -243,14 +243,41 @@ def greedy_pivot_columns(A):
     return cols
 
 
-def test_against_the_transform_hnf_and_forward_elimination():
+def count_row_ops(monkeypatch, limit):
+    """Count the calls of intlin._row_sub in the returned list, which the
+    caller may clear; past `limit` calls it fails instead of hanging."""
+    calls, real = [], intlin._row_sub
+
+    def row_sub(row, support, q):
+        calls.append(None)
+        if len(calls) > limit:
+            raise AssertionError(f"more than {limit} row operations")
+        real(row, support, q)
+
+    monkeypatch.setattr(intlin, "_row_sub", row_sub)
+    return calls
+
+
+def test_kernel_of_a_column_of_mixed_signs(monkeypatch):
+    """Matrix 919 of seed 53 below: floor quotients on entries of mixed
+    sign still shrink the column fast (61 row operations), which an
+    echelon that negated a row at each swap did not."""
+    A = [[-654144804699], [-157642713418], [-991866460093], [1307151886929]]
+    count_row_ops(monkeypatch, 200)
+    assert integer_kernel(A) == two_hnf_kernel(A)
+
+
+def test_against_the_transform_hnf_and_forward_elimination(monkeypatch):
     """2000 seeded random matrices, wide, tall and square, 0-8 rows and
     1-8 columns, entries up to 10^12; a quarter are products through a
     narrower middle (rank-deficient), and a third gain a dependent row.  Kernel, HNF, rank, det, adjugate, pivot columns and integer
-    solvability agree with the oracles."""
+    solvability agree with the oracles, each matrix within 20,000 row
+    operations in all."""
     rng = random.Random(53)
+    calls = count_row_ops(monkeypatch, 20000)
     square = deficient = solvable = 0
     for _ in range(2000):
+        calls.clear()
         m, n = rng.randrange(0, 9), rng.randrange(1, 9)
         span = rng.choice([1, 3, 30, 10**4, 10**12])
         A = random_matrix(rng, m, n, span=span)
